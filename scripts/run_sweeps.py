@@ -10,22 +10,10 @@ import time
 
 from hktheta import sweeps
 
-SWEEPS = [
-    sweeps.sweep_kum_criterion,
-    sweeps.sweep_kum_three_way,
-    sweeps.sweep_og6_model,
-    sweeps.sweep_kum_sections,
-    sweeps.sweep_og6_sections,
-    sweeps.sweep_rank4_consistency,
-    sweeps.sweep_tensor_additivity,
-    sweeps.sweep_orbit_split,
-    sweeps.sweep_og6_trichotomy,
-]
-
 
 def main() -> int:
     total_passed = total_failed = 0
-    for sweep in SWEEPS:
+    for sweep in sweeps.SWEEPS:
         t0 = time.perf_counter()
         result = sweep()
         elapsed = time.perf_counter() - t0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
@@ -41,19 +39,3 @@ def ord2(n: int) -> int:
         n //= 2
         v += 1
     return v
-
-
-def ilog(base: int, value: int) -> int:
-    """Exact logarithm: the k with base**k == value, or a ValueError."""
-    k = 0
-    v = 1
-    while v < value:
-        v *= base
-        k += 1
-    if v != value:
-        raise ValueError(f"{value} is not a power of {base}")
-    return k
-
-
-def prod(xs) -> int:
-    return math.prod(xs)

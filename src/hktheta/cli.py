@@ -120,7 +120,11 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
         structure = kum_cokernel_from_class(args.n, args.a1, args.a2, args.x)
         inv = kum_class_invariants(args.n, args.a1, args.a2, args.x)
         base = report_to_dict(theta_report(inv))
-        assert base["cokernel"] == list(structure.invariant_factors)
+        if base["cokernel"] != list(structure.invariant_factors):
+            raise AssertionError(
+                "class route and (div, q) route disagree: "
+                f"{list(structure.invariant_factors)} vs {base['cokernel']}"
+            )
         record = {"family": base["family"], "n": args.n, "a1": args.a1, "a2": args.a2,
                   "x": args.x, "b1": math.gcd(args.n + 1, args.a1),
                   "b2": math.gcd(args.n + 1, args.a2)}

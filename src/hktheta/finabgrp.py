@@ -7,14 +7,19 @@ e : G x G -> Q/Z, stored by its values on pairs of generators.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel and kernel (the radical) are computed through exact Smith
-normal form over Z, and independently by exhaustive enumeration
-(`brute_cokernel`); the two routes share no code past the generator matrix,
-so each serves as an oracle for the other.
+normal form over Z.  `brute_cokernel` computes the cokernel independently
+by enumeration: it builds the image of E as the subgroup generated by the
+columns of the generator matrix, then counts the cosets of each order with
+a counting lemma instead of visiting every element of Ghat.  The two routes
+share no code past the generator matrix, so each serves as an oracle for
+the other.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -275,20 +280,22 @@ class Pairing:
 
 
 def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
-    """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z."""
+    """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z.
+
+    Every entry's denominator divides n = exponent (Pairing enforces it), so
+    the sum is accumulated as an integer in units of 1/n.
+    """
     if a.group != pairing.group or b.group != pairing.group:
         raise ValueError("elements do not belong to the pairing's group")
-    total = Fraction(0)
-    for i, ai in enumerate(a.coords):
+    n = pairing.group.exponent
+    total = 0
+    for ai, row in zip(a.coords, pairing.matrix):
         if ai == 0:
             continue
-        for j, bj in enumerate(b.coords):
-            if bj == 0:
-                continue
-            q = pairing.matrix[i][j]
-            if q.num:
-                total += Fraction(ai * bj * q.num, q.den)
-    return QmodZ(total.numerator, total.denominator)
+        for bj, q in zip(b.coords, row):
+            if bj and q.num:
+                total += ai * bj * q.num * (n // q.den)
+    return QmodZ(total, n)
 
 
 def e_matrix(pairing: Pairing) -> tuple[tuple[int, ...], ...]:
@@ -410,33 +417,56 @@ def _factors_from_order_counts(counts: dict[int, int]) -> tuple[int, ...]:
     return factors
 
 
-def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
-    """Cokernel by exhaustive enumeration; independent of the Smith-form route.
+def _image_closure(m, orders) -> set[tuple[int, ...]]:
+    # im(E) as the closure of {0} under adding the nonzero columns of m
+    r = len(orders)
+    zero = (0,) * r
+    cols = {tuple(m[i][j] for i in range(r)) for j in range(r)} - {zero}
+    image = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for c in cols:
+                z = tuple(map(operator.mod, map(operator.add, y, c), orders))
+                if z not in image:
+                    image.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return image
 
-    Enumerates the image of E inside Ghat, then recovers the invariant
-    factors of the quotient from the multiset of coset orders, prime by
-    prime with the largest orders first.
+
+def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
+    """Cokernel by enumeration; independent of the Smith-form route.
+
+    Enumerates the image H = im(E) inside Ghat as the closure of {0} under
+    adding the columns of e_matrix.  For k | exponent, the cosets of Ghat/H
+    whose order divides k number |Ghat[k]| * |H & k*Ghat| / |H|, where
+    |Ghat[k]| = prod gcd(k, o_i) and y lies in k*Ghat iff gcd(k, o_i) | y_i
+    for every i; subtracting the counts of the proper divisors of k gives
+    the cosets of order exactly k.  The invariant factors of the quotient
+    are recovered from those order counts, prime by prime.
     """
     g = pairing.group
     if g.order > bound:
         raise ValueError(f"group of order {g.order} exceeds the enumeration bound {bound}")
     o = g.orders
-    r = g.rank
-    m = e_matrix(pairing)
-    image = set()
-    for coords in g.coord_tuples():
-        image.add(tuple(sum(m[i][j] * coords[j] for j in range(r)) % o[i] for i in range(r)))
+    image = _image_closure(e_matrix(pairing), o)
     h = len(image)
-    divs = divisors(g.exponent)
+    # gcd(k, o_i) | y_i iff gcd(k, o_i) | gcd(y_i, o_i): group H by those gcds
+    profiles = Counter(tuple(map(math.gcd, y, o)) for y in image)
     counts: dict[int, int] = {}
-    for ghat in g.coord_tuples():
-        for k in divs:
-            if tuple(k * ghat[i] % o[i] for i in range(r)) in image:
-                counts[k] = counts.get(k, 0) + 1
-                break
-    if any(c % h for c in counts.values()):
-        raise AssertionError("coset order counts must be multiples of the image size")
-    counts = {k: c // h for k, c in counts.items()}
+    for k in divisors(g.exponent):
+        steps = [math.gcd(k, oi) for oi in o]
+        in_multiples = sum(
+            c for prof, c in profiles.items() if all(p % s == 0 for p, s in zip(prof, steps))
+        )
+        preimage = math.prod(steps) * in_multiples  # |{y : k*y in H}|
+        if preimage % h:
+            raise AssertionError("coset order counts must be multiples of the image size")
+        exact = preimage // h - sum(c for d, c in counts.items() if k % d == 0)
+        if exact:
+            counts[k] = exact
     return AbGroupStructure(_factors_from_order_counts(counts))
 
 

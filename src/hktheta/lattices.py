@@ -34,6 +34,7 @@ __all__ = [
     "is_primitive",
     "og6_class",
     "og6_same_orbit",
+    "kum_split_candidates",
     "kum_orbit_split",
 ]
 
@@ -194,6 +195,19 @@ class OrbitInvariant:
     f: tuple[int, ...]
 
 
+def kum_split_candidates(n: int, x0: int) -> list[tuple[int, int]]:
+    """Factorizations n+1 = p*q with 2p | x0-1 and 2q | x0+1.
+
+    These are the splittings whose isotropy witnesses are integral; an
+    actual wall-divisor class has exactly one.
+    """
+    return [
+        (p, (n + 1) // p)
+        for p in divisors(n + 1)
+        if (x0 - 1) % (2 * p) == 0 and (x0 + 1) % (2 * ((n + 1) // p)) == 0
+    ]
+
+
 def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     """Split a square -2(n+1), divisibility 2(n+1) class as p*e + q*f.
 
@@ -224,11 +238,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     k = bbf_square(u3, beta)
     if two_n1 * k != x0 * x0 - 1:
         raise AssertionError("square bookkeeping 2(n+1)*beta^2 = x0^2 - 1 failed")
-    candidates = [
-        (p, (n + 1) // p)
-        for p in divisors(n + 1)
-        if (x0 - 1) % (2 * p) == 0 and (x0 + 1) % (2 * ((n + 1) // p)) == 0
-    ]
+    candidates = kum_split_candidates(n, x0)
     if len(candidates) != 1:
         raise AssertionError(
             f"expected exactly one splitting of {n + 1}, found {sorted(candidates)}"

@@ -37,6 +37,7 @@ from .invariants import (
 from .lattices import (
     divisibility,
     kum_orbit_split,
+    kum_split_candidates,
     lambda_og6,
     og6_class,
     bbf_square,
@@ -53,6 +54,7 @@ __all__ = [
     "sweep_tensor_additivity",
     "sweep_orbit_split",
     "sweep_og6_trichotomy",
+    "SWEEPS",
     "run_all",
 ]
 
@@ -227,15 +229,6 @@ def sweep_tensor_additivity(samples: int = 40) -> SweepResult:
     return _tally("tensor additivity", outcomes())
 
 
-def _strict_split_candidates(n: int, x0: int) -> list[tuple[int, int]]:
-    # factorizations n+1 = p*q whose isotropy witnesses are integral
-    return [
-        (p, (n + 1) // p)
-        for p in divisors(n + 1)
-        if (x0 - 1) % (2 * p) == 0 and (x0 + 1) % (2 * ((n + 1) // p)) == 0
-    ]
-
-
 def sweep_orbit_split(n_max: int = 50, x_bound: int = 200) -> SweepResult:
     """Wall-divisor splitting over every admissible x0.
 
@@ -269,7 +262,7 @@ def sweep_orbit_split(n_max: int = 50, x_bound: int = 200) -> SweepResult:
                         and split.beta == beta
                     )
                 else:
-                    yield (n + 1) % 4 == 0 and not _strict_split_candidates(n, x0)
+                    yield (n + 1) % 4 == 0 and not kum_split_candidates(n, x0)
 
     return _tally("orbit splitting", outcomes())
 
@@ -300,15 +293,19 @@ def sweep_og6_trichotomy(samples: int = 10_000, coord_bound: int = 10) -> SweepR
     return _tally("og6 trichotomy", outcomes())
 
 
+SWEEPS = (
+    sweep_kum_criterion,
+    sweep_kum_three_way,
+    sweep_og6_model,
+    sweep_kum_sections,
+    sweep_og6_sections,
+    sweep_rank4_consistency,
+    sweep_tensor_additivity,
+    sweep_orbit_split,
+    sweep_og6_trichotomy,
+)
+
+
 def run_all() -> list[SweepResult]:
-    return [
-        sweep_kum_criterion(),
-        sweep_kum_three_way(),
-        sweep_og6_model(),
-        sweep_kum_sections(),
-        sweep_og6_sections(),
-        sweep_rank4_consistency(),
-        sweep_tensor_additivity(),
-        sweep_orbit_split(),
-        sweep_og6_trichotomy(),
-    ]
+    """Every sweep of SWEEPS at its default range, in order."""
+    return [sweep() for sweep in SWEEPS]

@@ -12,6 +12,7 @@ import pytest
 import hktheta
 from hktheta.cli import main
 from hktheta.finabgrp import (
+    AbGroupStructure,
     OG6PairingCase,
     pairing_to_dict,
     standard_kum_pairing,
@@ -84,6 +85,14 @@ def test_kummer_class_route(capsys):
     assert (rec["b1"], rec["b2"]) == (1, 3)
     assert (rec["div"], rec["q"]) == (1, 6)
     assert rec["cokernel"] == [3, 3]
+
+
+def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
+    # n = 2, a1 = a2 = 1 has a trivial cokernel; a wrong class route must not pass
+    wrong = AbGroupStructure((3, 3))
+    monkeypatch.setattr("hktheta.cli.kum_cokernel_from_class", lambda *args: wrong)
+    with pytest.raises(AssertionError, match=r"class route and \(div, q\) route disagree"):
+        main(["kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0"])
 
 
 def test_kummer_route_conflicts(capsys):
@@ -365,6 +374,35 @@ def test_module_execution():
     )
     assert proc.returncode == 0
     assert proc.stdout == "6\n"
+
+
+def test_kummer_cross_check_survives_optimize():
+    # python -O strips assert statements; the class-route cross-check must stay
+    argv = ["kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hktheta", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "cokernel: []" in proc.stdout.splitlines()
+
+    planted = (
+        "import sys\n"
+        "import hktheta.cli as cli\n"
+        "from hktheta.finabgrp import AbGroupStructure\n"
+        "cli.kum_cokernel_from_class = lambda *args: AbGroupStructure((3, 3))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", planted, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode != 0
+    assert "class route and (div, q) route disagree" in proc.stderr
 
 
 def test_console_script_on_path(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hktheta.arith import divisors
 from hktheta.finabgrp import (
     AbGroupStructure,
     FinAbGroup,
@@ -33,6 +34,7 @@ from hktheta.finabgrp import (
     tensor_pairing,
     zero_pairing,
 )
+from hktheta.finabgrp import _factors_from_order_counts, _image_closure
 
 # ---------------------------------------------------------------------------
 # Q/Z
@@ -336,6 +338,115 @@ def test_route_agreement_random(p):
     assert pairing_radical(p) == coker
     assert is_nondegenerate(p) == coker.is_trivial()
     assert p.group.order % coker.order == 0
+
+
+def _cokernel_by_whole_group(p):
+    """Literal enumeration: the image from every a in G, then for every ghat in
+    Ghat the least k | exponent with k*ghat in the image.  Returns the image
+    and the quotient structure; the reference for brute_cokernel's closure
+    and counting lemma."""
+    g = p.group
+    o, r = g.orders, g.rank
+    m = e_matrix(p)
+    image = set()
+    for coords in g.coord_tuples():
+        image.add(tuple(sum(m[i][j] * coords[j] for j in range(r)) % o[i] for i in range(r)))
+    h = len(image)
+    divs = divisors(g.exponent)
+    counts = {}
+    for ghat in g.coord_tuples():
+        for k in divs:
+            if tuple(k * ghat[i] % o[i] for i in range(r)) in image:
+                counts[k] = counts.get(k, 0) + 1
+                break
+    assert all(c % h == 0 for c in counts.values())
+    counts = {k: c // h for k, c in counts.items()}
+    return image, AbGroupStructure(_factors_from_order_counts(counts))
+
+
+def _densest_pairing(orders):
+    # e(g_i, g_j) = 1/gcd(o_i, o_j) for i < j: every entry of the largest allowed order
+    g = FinAbGroup(orders)
+    r = g.rank
+    mat = [[QmodZ(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            val = QmodZ(1, math.gcd(orders[i], orders[j]))
+            mat[i][j], mat[j][i] = val, -val
+    return Pairing(g, tuple(tuple(row) for row in mat))
+
+
+def _assert_matches_whole_group(p):
+    image, expected = _cokernel_by_whole_group(p)
+    assert _image_closure(e_matrix(p), p.group.orders) == image
+    assert brute_cokernel(p) == expected
+    return image, expected
+
+
+@pytest.mark.parametrize("orders", [(2, 4, 8), (3, 6, 12), (2, 3, 4, 6)])
+def test_brute_cokernel_counting_mixed_orders(orders):
+    p = _densest_pairing(orders)
+    _, coker = _assert_matches_whole_group(p)
+    assert coker == pairing_cokernel(p)
+
+
+def test_brute_cokernel_counting_zero_pairing():
+    p = zero_pairing(FinAbGroup((2, 3, 4, 6)))
+    image, coker = _assert_matches_whole_group(p)
+    assert len(image) == 1
+    assert coker == AbGroupStructure.from_cyclic_orders((2, 3, 4, 6))
+
+
+def test_brute_cokernel_counting_nondegenerate():
+    # two hyperbolic pairs of orders 2 and 4 on (Z/2 x Z/4)^2
+    g = FinAbGroup((2, 4, 2, 4))
+    zero = QmodZ(0)
+    half, quarter = QmodZ(1, 2), QmodZ(1, 4)
+    mat = (
+        (zero, zero, half, zero),
+        (zero, zero, zero, quarter),
+        (half, zero, zero, zero),
+        (zero, -quarter, zero, zero),
+    )
+    p = Pairing(g, mat)
+    image, coker = _assert_matches_whole_group(p)
+    assert len(image) == g.order
+    assert coker.is_trivial()
+
+
+@given(skew_pairings(max_order=1024))
+@settings(max_examples=40)
+def test_brute_cokernel_matches_whole_group_enumeration(p):
+    _assert_matches_whole_group(p)
+
+
+def _eval_by_fractions(p, a, b):
+    total = sum(
+        (
+            Fraction(ai * bj * p.matrix[i][j].num, p.matrix[i][j].den)
+            for i, ai in enumerate(a.coords)
+            for j, bj in enumerate(b.coords)
+        ),
+        Fraction(0),
+    )
+    return QmodZ(total.numerator, total.denominator)
+
+
+@pytest.mark.parametrize("orders", [(2, 4, 8), (3, 6, 12), (2, 3, 4, 6)])
+def test_eval_pairing_matches_fraction_sum_mixed_orders(orders):
+    p = _densest_pairing(orders)
+    g = p.group
+    for a in g.elements():
+        for b in (g.gen(0), -g.gen(g.rank - 1), g.element(range(1, g.rank + 1))):
+            assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
+
+
+@given(st.data())
+def test_eval_pairing_matches_fraction_sum_random(data):
+    p = data.draw(skew_pairings())
+    a = data.draw(random_elements(p.group))
+    b = data.draw(random_elements(p.group))
+    assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
 
 
 # ---------------------------------------------------------------------------
