@@ -8,7 +8,9 @@ the property suites and reports pass/fail counts.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
-(single-line diagnostic on stderr), 2 usage error.
+(single-line diagnostic on stderr), 2 usage error, 3 internal check failure
+(an `AssertionError` from a cross-check, reported as the single line
+`internal check failed: <msg>` on stderr).
 """
 
 from __future__ import annotations
@@ -315,5 +317,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     _emit(args, record, lines)
     return 0

@@ -6,11 +6,14 @@ so a pairing "with values in roots of unity" is a skew biadditive map
 e : G x G -> Q/Z, stored by its values on pairs of generators.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
-Its cokernel and kernel (the radical) are computed through exact Smith
-normal form over Z.  `brute_cokernel` computes the cokernel independently
-by enumeration: it builds the image of E as the subgroup generated by the
-columns of the generator matrix, then counts the cosets of each order with
-a counting lemma instead of visiting every element of Ghat.  The two routes
+Its cokernel is computed through exact Smith normal form over Z.  Its kernel,
+the radical, comes from the same Smith form by duality: for a skew pairing
+E^ = -E, so ker E = (coker E)^, which is isomorphic to coker E.  The tests
+check the radical against a literal enumeration of the kernel.
+`brute_cokernel` computes the cokernel independently by enumeration: it
+builds the image of E as the subgroup generated by the columns of the
+generator matrix, then counts the cosets of each order with a counting
+lemma instead of visiting every element of Ghat.  The two cokernel routes
 share no code past the generator matrix, so each serves as an oracle for
 the other.
 """
@@ -22,11 +25,10 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 
 from .arith import divisors, factorint
-from .snf import integer_kernel_basis, rational_solve, smith_normal_form
+from .snf import smith_normal_form
 
 __all__ = [
     "QmodZ",
@@ -86,9 +88,6 @@ class QmodZ:
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, QmodZ):
@@ -338,30 +337,14 @@ def pairing_cokernel(pairing: Pairing) -> AbGroupStructure:
 def pairing_radical(pairing: Pairing) -> AbGroupStructure:
     """Invariant factors of the radical ker(E) = {a : e(a, -) is identically 0}.
 
-    a lies in the radical iff (e_matrix @ a) == 0 modulo diag(orders); the
-    solutions form an integer lattice L with diag(orders) Z^r <= L <= Z^r and
-    ker(E) = L / diag(orders) Z^r, whose structure is read off the Smith form
-    of the matrix expressing diag(orders) in a basis of L.
+    Dualizing the exact sequence 0 -> ker E -> G -> Ghat -> coker E -> 0
+    gives ker(E^) = (coker E)^, where E^ : G -> Ghat is the dual map
+    E^(a)(b) = E(b)(a) = e(b, a).  The hypothesis is skewness, which
+    Pairing.__post_init__ enforces: e(b, a) = -e(a, b), so E^ = -E and
+    ker E = ker(E^) = (coker E)^.  A finite abelian group is isomorphic to
+    its dual, so the radical has the invariant factors of the cokernel.
     """
-    m = e_matrix(pairing)
-    o = pairing.group.orders
-    r = pairing.group.rank
-    amat = [list(m[i]) + [-o[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    kern = integer_kernel_basis(amat)
-    if len(kern) != r:
-        raise AssertionError("radical lattice must have full rank")
-    basis = [[kern[j][i] for j in range(r)] for i in range(r)]
-    rel = rational_solve(basis, [[o[i] if j == i else 0 for j in range(r)] for i in range(r)])
-    cmat = []
-    for row in rel:
-        if any(f.denominator != 1 for f in row):
-            raise AssertionError("diag(orders) must lie in the radical lattice")
-        cmat.append([int(f) for f in row])
-    s, _, _ = smith_normal_form(cmat)
-    diag = [abs(s[i][i]) for i in range(r)]
-    if any(d == 0 for d in diag):
-        raise AssertionError("radical relation matrix must be nonsingular")
-    return AbGroupStructure.from_cyclic_orders(d for d in diag if d > 1)
+    return pairing_cokernel(pairing)
 
 
 def is_nondegenerate(pairing: Pairing) -> bool:

@@ -148,6 +148,8 @@ class OG6Class(Enum):
 
 
 _OG6 = lambda_og6()
+_U3 = hyperbolic_sum(3)
+_U4 = hyperbolic_sum(4)
 
 
 def og6_class(v) -> OG6Class:
@@ -234,8 +236,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     if any(c % two_n1 for c in v[:6]):
         raise AssertionError("U^3 part must be divisible by 2(n+1) at this divisibility")
     beta = tuple(c // two_n1 for c in v[:6])
-    u3 = hyperbolic_sum(3)
-    k = bbf_square(u3, beta)
+    k = bbf_square(_U3, beta)
     if two_n1 * k != x0 * x0 - 1:
         raise AssertionError("square bookkeeping 2(n+1)*beta^2 = x0^2 - 1 failed")
     candidates = kum_split_candidates(n, x0)
@@ -248,8 +249,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     c = (x0 + 1) // (2 * q)
     e = tuple(q * b for b in beta) + (a, a * (n + 1) - q * x0)
     f = tuple(p * b for b in beta) + (c, c * (n + 1) - p * x0)
-    ambient = hyperbolic_sum(4)
-    if bbf_square(ambient, e) or bbf_square(ambient, f):
+    if bbf_square(_U4, e) or bbf_square(_U4, f):
         raise AssertionError("splitting witnesses must be isotropic")
     alpha_ambient = v[:6] + (x0, -(n + 1) * x0)
     if tuple(p * ei + q * fi for ei, fi in zip(e, f)) != alpha_ambient:

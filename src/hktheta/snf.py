@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith normal form, determinants, kernels.
+"""Exact integer matrix routines: Smith normal form and determinants.
 
 Matrices are lists (or tuples) of rows of Python ints, so every computation
 is exact at arbitrary precision.  Sizes in this package never exceed 8 x 16,
@@ -7,7 +7,7 @@ which keeps the classical row/column reduction entirely adequate.
 
 from __future__ import annotations
 
-from fractions import Fraction
+__all__ = ["integer_det", "smith_normal_form"]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -130,42 +130,3 @@ def smith_normal_form(mat):
             continue
         t += 1
     return a, u, v
-
-
-def snf_diagonal(mat) -> list[int]:
-    s, _, _ = smith_normal_form(mat)
-    rows = len(s)
-    cols = len(s[0]) if rows else 0
-    return [s[i][i] for i in range(min(rows, cols))]
-
-
-def integer_kernel_basis(mat) -> list[list[int]]:
-    """Basis of {x in Z^cols : mat @ x == 0}, returned as a list of vectors."""
-    a = _as_int_rows(mat)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    s, _, v = smith_normal_form(a)
-    rank = sum(1 for i in range(min(rows, cols)) if s[i][i] != 0)
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
-def rational_solve(a, b) -> list[list[Fraction]]:
-    """Solve a @ x == b exactly over Q for square invertible a; b is a matrix."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(x) for x in brow] for row, brow in zip(a, b)]
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("rational_solve expects square a and matching b")
-    width = len(work[0])
-    for c in range(n):
-        piv = next((r for r in range(c, n) if work[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for r in range(n):
-            if r != c and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[c])]
-    return [row[n:width] for row in work]

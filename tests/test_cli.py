@@ -1,5 +1,6 @@
 """CLI surface: output shapes, JSON stability, exit codes."""
 
+import ast
 import json
 import os
 import shutil
@@ -91,8 +92,9 @@ def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
     # n = 2, a1 = a2 = 1 has a trivial cokernel; a wrong class route must not pass
     wrong = AbGroupStructure((3, 3))
     monkeypatch.setattr("hktheta.cli.kum_cokernel_from_class", lambda *args: wrong)
-    with pytest.raises(AssertionError, match=r"class route and \(div, q\) route disagree"):
-        main(["kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0"])
+    code, out, err = run_cli(capsys, "kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0")
+    assert code == 3 and out == ""
+    assert err == "internal check failed: class route and (div, q) route disagree: [3, 3] vs []\n"
 
 
 def test_kummer_route_conflicts(capsys):
@@ -401,8 +403,20 @@ def test_kummer_cross_check_survives_optimize():
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode != 0
-    assert "class route and (div, q) route disagree" in proc.stderr
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal check failed: class route and (div, q) route disagree")
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips assert statements, so internal checks raise AssertionError
+    src = Path(hktheta.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/hktheta: {', '.join(found)}"
 
 
 def test_console_script_on_path(tmp_path):
