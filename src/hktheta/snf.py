@@ -1,17 +1,17 @@
 """Exact integer matrix routines: Smith normal form and determinants.
 
-Matrices are lists (or tuples) of rows of Python ints, so every computation
-is exact at arbitrary precision.  Sizes in this package never exceed 8 x 16,
-which keeps the classical row/column reduction entirely adequate.
+Matrices are lists (or tuples) of rows of Python ints.  The Smith form works
+modulo a fixed M (Domich, Kannan and Trotter, 1987), so no entry grows past M
+whatever the matrix size.  This is exact: the lattice of the columns plus
+M * Z^r contains M * Z^r, and unimodular row operations keep it there, so
+adding a multiple of M to any entry changes neither the lattice nor its quotient.
 """
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["integer_det", "smith_normal_form"]
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _as_int_rows(mat) -> list[list[int]]:
@@ -50,83 +50,50 @@ def integer_det(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(mat):
-    """Smith normal form with transforms.
+def smith_normal_form(mat, modulus: int) -> list[int]:
+    """Invariant factors d_1 | ... | d_r of Z^r / (columns of mat + modulus * Z^r).
 
-    Returns (s, u, v) with u * mat * v == s, where u and v are unimodular
-    and s is diagonal with nonnegative entries s[0][0] | s[1][1] | ...
+    These are the diagonal of the Smith form of [mat | modulus * I], r being
+    the number of rows; every d_i divides modulus.
     """
-    a = _as_int_rows(mat)
+    a = [[x % modulus for x in r] for r in _as_int_rows(mat)]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_add(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def col_add(i, j, c):
-        for r in a:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
     t = 0
-    while t < min(rows, cols):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    while t < rows:
+        nonzero = [(a[i][j], i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not nonzero:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
+        _, pi, pj = min(nonzero)
+        a[t], a[pi] = a[pi], a[t]
+        for r in a:
+            r[t], r[pj] = r[pj], r[t]
+        dirty = True
+        while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
+                if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t] != 0:
-                        row_swap(t, i)
+                    a[i] = [(x - q * y) % modulus for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
+                if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
+                    for r in a:
+                        r[j] = (r[j] - q * r[t]) % modulus
+                    if a[t][j]:
+                        for r in a:
+                            r[t], r[j] = r[j], r[t]
                         dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        if a[t][t] < 0:
-            row_neg(t)
+        # row t and column t are clear, so (pivot, modulus) span gcd * e_t
+        a[t][t] = math.gcd(a[t][t], modulus)
         # the pivot must divide the whole trailing block for the divisor chain
-        fix = None
         for i in range(t + 1, rows):
-            if any(a[i][j] % a[t][t] for j in range(t + 1, cols)):
-                fix = i
+            if any(x % a[t][t] for x in a[i][t + 1 :]):
+                a[t] = [(x + y) % modulus for x, y in zip(a[t], a[i])]
                 break
-        if fix is not None:
-            row_add(t, fix, 1)
-            continue
-        t += 1
-    return a, u, v
+        else:
+            t += 1
+    return [a[i][i] for i in range(t)] + [modulus] * (rows - t)

@@ -263,6 +263,33 @@ def test_pairing_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pairing", "cokernel", "--file", str(skewless))
     assert code == 1 and "skew" in err
 
+    overflowing = tmp_path / "overflowing.json"
+    overflowing.write_text(
+        '{"orders": [1e400, 4], "matrix": [["0/1", "0/1"], ["0/1", "0/1"]]}'
+    )
+    code, _, err = run_cli(capsys, "pairing", "nondeg", "--file", str(overflowing))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert "order inf is not an integer" in err and "Traceback" not in err
+
+
+def test_pairing_wide_document_finishes(tmp_path, wide_pairing_doc):
+    # an unreduced Smith form did not finish in 120 s on this document
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_pairing_doc))
+    for question, expected in [
+        ("cokernel", "Z/3 x Z/120\n"),
+        ("radical", "Z/3 x Z/120\n"),
+        ("nondeg", "false\n"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hktheta", "pairing", question, "--file", str(path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (0, expected), proc.stderr
+
 
 # ---------------------------------------------------------------------------
 # heisenberg / schrodinger
@@ -417,6 +444,26 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/hktheta: {', '.join(found)}"
+
+
+def test_source_imports_only_the_standard_library():
+    # hktheta has zero runtime dependencies: every absolute import is stdlib
+    src = Path(hktheta.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert not found, f"non-stdlib imports in src/hktheta: {', '.join(found)}"
 
 
 def test_console_script_on_path(tmp_path):

@@ -238,6 +238,13 @@ def test_cokernel_golden():
     assert pairing_cokernel(standard_kum_pairing(4, 5, 5)).invariant_factors == (5, 5, 5, 5)
 
 
+def test_cokernel_golden_wide_document(wide_pairing_doc):
+    p = pairing_from_dict(wide_pairing_doc)
+    expected = AbGroupStructure((3, 120))
+    assert pairing_cokernel(p) == brute_cokernel(p) == pairing_radical(p) == expected
+    assert not is_nondegenerate(p)
+
+
 def test_radical_golden():
     assert pairing_radical(symplectic_pairing(3, 2)).is_trivial()
     assert pairing_radical(zero_pairing(FinAbGroup((2, 4)))).invariant_factors == (2, 4)
@@ -604,3 +611,10 @@ def test_pairing_document_malformed():
         pairing_from_dict({"orders": [2], "matrix": [[{"num": 1}]]})
     with pytest.raises(ValueError):  # skew violation caught by Pairing validation
         pairing_from_dict({"orders": [2, 2], "matrix": [["0/1", "1/2"], ["0/1", "0/1"]]})
+    zero2 = [["0/1", "0/1"], ["0/1", "0/1"]]
+    with pytest.raises(ValueError, match="order inf is not an integer"):  # JSON 1e400
+        pairing_from_dict({"orders": [float("inf"), 4], "matrix": zero2})
+    with pytest.raises(ValueError, match="order 2.9 is not an integer"):  # not read as 2
+        pairing_from_dict({"orders": [2.9, 2.9], "matrix": [["0/1", "1/2"], ["1/2", "0/1"]]})
+    with pytest.raises(ValueError, match="order True is not an integer"):
+        pairing_from_dict({"orders": [True, 2], "matrix": zero2})

@@ -1,6 +1,8 @@
 """Integer matrix routines: determinants and Smith form."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -38,7 +40,7 @@ square_matrices = st.integers(1, 5).flatmap(
     )
 )
 
-rect_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+rect_matrices = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
     lambda shape: st.lists(
         st.lists(st.integers(-20, 20), min_size=shape[1], max_size=shape[1]),
         min_size=shape[0],
@@ -74,45 +76,28 @@ def test_det_row_swap_flips_sign(mat):
     assert integer_det(swapped) == -integer_det(mat)
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-@given(rect_matrices)
-def test_smith_form_factorization(mat):
-    s, u, v = smith_normal_form(mat)
-    rows, cols = len(mat), len(mat[0])
-    assert len(s) == rows and len(s[0]) == cols
-    # u and v are unimodular
-    assert integer_det(u) in (1, -1)
-    assert integer_det(v) in (1, -1)
-    assert _mat_mul(_mat_mul(u, mat), v) == s
-    # s is diagonal, nonnegative, with a divisibility chain
-    diag = []
-    for i in range(rows):
-        for j in range(cols):
-            if i != j:
-                assert s[i][j] == 0
-            else:
-                diag.append(s[i][j])
-    assert all(d >= 0 for d in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-
-
-def _smith_diagonal(mat):
-    s, _, _ = smith_normal_form(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0])))]
+@given(rect_matrices, st.integers(2, 60))
+def test_smith_form_matches_minor_gcds(mat, modulus):
+    # d_1 * ... * d_k is the gcd of the k x k minors of [mat | modulus * I]
+    factors = smith_normal_form(mat, modulus)
+    rows = len(mat)
+    aug = [row + [modulus if j == i else 0 for j in range(rows)] for i, row in enumerate(mat)]
+    assert len(factors) == rows
+    for k in range(1, rows + 1):
+        minors = [
+            int(fraction_det([[aug[i][j] for j in cols] for i in sub]))
+            for sub in combinations(range(rows), k)
+            for cols in combinations(range(len(aug[0])), k)
+        ]
+        assert math.prod(factors[:k]) == math.gcd(*minors)
+    assert all(modulus % d == 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
 
 def test_smith_form_diagonal_golden():
-    assert _smith_diagonal([[4, 0], [0, 6]]) == [2, 12]
-    assert _smith_diagonal([[2, 1], [0, 2]]) == [1, 4]
-    assert _smith_diagonal([[0, 0], [0, 0]]) == [0, 0]
-    assert _smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
+    assert smith_normal_form([[4, 0], [0, 6]], 24) == [2, 12]
+    assert smith_normal_form([[4, 0], [0, 6]], 6) == [2, 6]
+    assert smith_normal_form([[2, 1], [0, 2]], 8) == [1, 4]
+    assert smith_normal_form([[0, 0], [0, 0]], 5) == [5, 5]
+    assert smith_normal_form([[1, 0], [0, 1]], 7) == [1, 1]
+    assert smith_normal_form([[5]], 12) == [1]
