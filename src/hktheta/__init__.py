@@ -58,7 +58,6 @@ from .lattices import (
     lambda_kum,
     lambda_og6,
     og6_class,
-    og6_same_orbit,
 )
 
 __version__ = "0.1.0"
@@ -107,6 +106,5 @@ __all__ = [
     "lambda_kum",
     "lambda_og6",
     "og6_class",
-    "og6_same_orbit",
     "__version__",
 ]

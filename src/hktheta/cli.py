@@ -4,7 +4,7 @@ Subcommands mirror the library layers: `kummer`, `og6`, and `rank4` emit
 theta reports; `lattice` answers pairing/divisibility/orbit questions about
 the built-in lattices; `pairing` analyzes a pairing loaded from a JSON file;
 `heisenberg` and `schrodinger` expose the group computations; `sweep` runs
-the property suites and reports pass/fail counts.
+the property battery and reports each sweep's pass/fail counts and seconds.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .finabgrp import (
     QmodZ,
@@ -46,7 +47,7 @@ from .lattices import (
     lambda_og6,
     og6_class,
 )
-from .sweeps import run_all
+from .sweeps import SweepResult, run_all
 
 __all__ = ["main"]
 
@@ -222,11 +223,12 @@ def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
 
 def _cmd_sweep(args) -> tuple[list, list[str]]:
     results = run_all()
-    record = [{"name": r.name, "passed": r.passed, "failed": r.failed} for r in results]
-    lines = [f"{r.name}: passed={r.passed} failed={r.failed}" for r in results]
-    total_failed = sum(r.failed for r in results)
-    lines.append(f"total: passed={sum(r.passed for r in results)} failed={total_failed}")
-    if total_failed:
+    record = [asdict(r) for r in results]
+    total = SweepResult("total", sum(r.passed for r in results),
+                        sum(r.failed for r in results), sum(r.seconds for r in results))
+    lines = [f"{r.name}: passed={r.passed} failed={r.failed} seconds={r.seconds:.2f}"
+             for r in (*results, total)]
+    if total.failed:
         raise _SweepFailure(record, lines)
     return record, lines
 

@@ -37,13 +37,11 @@ __all__ = [
     "GenPermMatrix",
     "character_eval",
     "heis_elem",
-    "h_identity",
     "h_mul",
     "h_inv",
     "h_commutator",
     "heis_pairing",
     "schrodinger_matrix",
-    "gpm_identity",
     "gpm_mul",
     "gpm_inv",
     "gpm_scalar_phase",
@@ -84,11 +82,6 @@ def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
 def heis_elem(d, scalar: QmodZ, x, f) -> HeisElem:
     group = FinAbGroup(tuple(d))
     return HeisElem(scalar, group.element(x), group.element(f))
-
-
-def h_identity(d) -> HeisElem:
-    group = FinAbGroup(tuple(d))
-    return HeisElem(QmodZ(0), group.zero(), group.zero())
 
 
 def _check_same_type(a: HeisElem, b: HeisElem):
@@ -156,10 +149,6 @@ class GenPermMatrix:
             raise ValueError("perm and phases must have length dim")
         if sorted(self.perm) != list(range(self.dim)):
             raise ValueError("perm must be a bijection on 0..dim-1")
-
-
-def gpm_identity(dim: int) -> GenPermMatrix:
-    return GenPermMatrix(dim, tuple(range(dim)), (QmodZ(0),) * dim)
 
 
 def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:

@@ -33,7 +33,6 @@ __all__ = [
     "divisibility",
     "is_primitive",
     "og6_class",
-    "og6_same_orbit",
     "kum_split_candidates",
     "kum_orbit_split",
 ]
@@ -173,11 +172,6 @@ def og6_class(v) -> OG6Class:
             return OG6Class.III
         raise AssertionError(f"divisibility 2 with square residue {residue} mod 8")
     raise AssertionError(f"primitive vector with divisibility {div}")
-
-
-def og6_same_orbit(a, b) -> bool:
-    """True iff a and b share both the square and the orbit class."""
-    return bbf_square(_OG6, a) == bbf_square(_OG6, b) and og6_class(a) == og6_class(b)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Deterministic property sweeps over the closed-form invariant layer.
 
-Each sweep exercises one verifiable claim across its full stated parameter
-range and reports pass/fail counts; the CLI `sweep` subcommand and the
-acceptance tests both run them.  All randomness is seeded, so every run
-checks the identical sample.
+Each sweep checks one verifiable claim over a fixed range, stated in its
+docstring, and reports its pass/fail counts and seconds.  `run_all` runs the
+battery `SWEEPS` in order; it backs `hktheta sweep`, and the acceptance
+tests call single sweeps.  All randomness is seeded, so every run checks the
+identical sample.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,29 +66,28 @@ class SweepResult:
     name: str
     passed: int
     failed: int
-
-    @property
-    def total(self) -> int:
-        return self.passed + self.failed
+    seconds: float
 
 
 def _tally(name: str, outcomes) -> SweepResult:
     passed = failed = 0
+    start = time.perf_counter()
     for ok in outcomes:
         if ok:
             passed += 1
         else:
             failed += 1
-    return SweepResult(name, passed, failed)
+    return SweepResult(name, passed, failed, time.perf_counter() - start)
 
 
-def sweep_kum_criterion(n_max: int = 12, q_bound: int = 200) -> SweepResult:
-    """Cokernel triviality matches the closed-form Heisenberg criterion."""
+def sweep_kum_criterion() -> SweepResult:
+    """Cokernel triviality matches the closed-form Heisenberg criterion,
+    for 2 <= n <= 12, every div | 2(n+1) and even q in [-200, 200]."""
 
     def outcomes():
-        for n in range(2, n_max + 1):
+        for n in range(2, 13):
             for div in divisors(2 * (n + 1)):
-                for q in range(-q_bound, q_bound + 1, 2):
+                for q in range(-200, 201, 2):
                     try:
                         cok = kum_cokernel(n, div, q)
                     except ValueError:
@@ -101,13 +102,14 @@ def _brute_standard_kum(n: int, b1: int, b2: int) -> AbGroupStructure:
     return brute_cokernel(standard_kum_pairing(n, b1, b2))
 
 
-def sweep_kum_three_way(n_max: int = 10, a_bound: int = 36) -> SweepResult:
-    """Class formula == (div,q) formula == brute force on the model pairing."""
+def sweep_kum_three_way() -> SweepResult:
+    """Class formula == (div,q) formula == brute force on the model pairing,
+    for 2 <= n <= 10, a1 | a2 <= 36 and x in {0, 1} with gcd(a1, x) = 1."""
 
     def outcomes():
-        for n in range(2, n_max + 1):
-            for a1 in range(1, a_bound + 1):
-                for a2 in range(a1, a_bound + 1, a1):
+        for n in range(2, 11):
+            for a1 in range(1, 37):
+                for a2 in range(a1, 37, a1):
                     for x in (0, 1):
                         if math.gcd(a1, x) != 1:
                             continue
@@ -129,7 +131,8 @@ _OG6_CASES = (
 
 
 def sweep_og6_model() -> SweepResult:
-    """Closed-form values match both cokernel routes on the model pairings."""
+    """Closed-form values match both cokernel routes on the model pairings,
+    for the three cases of OG6PairingCase."""
 
     def outcomes():
         for case, div, q in _OG6_CASES:
@@ -140,12 +143,13 @@ def sweep_og6_model() -> SweepResult:
     return _tally("og6 model agreement", outcomes())
 
 
-def sweep_kum_sections(n_max: int = 20, e_max: int = 100) -> SweepResult:
-    """(n+1)^2 divides h0 in the Heisenberg range; multiplicity 1 only at e=1."""
+def sweep_kum_sections() -> SweepResult:
+    """(n+1)^2 divides h0 in the Heisenberg range; multiplicity 1 only at e=1;
+    for div 1, q = 2e, 2 <= n <= 20 and 1 <= e <= 100 with gcd(n+1, e) = 1."""
 
     def outcomes():
-        for n in range(2, n_max + 1):
-            for e in range(1, e_max + 1):
+        for n in range(2, 21):
+            for e in range(1, 101):
                 if math.gcd(n + 1, e) != 1:
                     continue
                 rep = theta_report(
@@ -161,11 +165,12 @@ def sweep_kum_sections(n_max: int = 20, e_max: int = 100) -> SweepResult:
     return _tally("kum section divisibility", outcomes())
 
 
-def sweep_og6_sections(e_max: int = 199) -> SweepResult:
-    """16 divides h0 for odd e; multiplicity 1 only at e=1."""
+def sweep_og6_sections() -> SweepResult:
+    """16 divides h0 for odd e; multiplicity 1 only at e=1; for div 1, q = 2e
+    and odd e in [1, 199]."""
 
     def outcomes():
-        for e in range(1, e_max + 1, 2):
+        for e in range(1, 200, 2):
             rep = theta_report(LineBundleInvariants(family=Family.OG6, div=1, q=2 * e))
             yield (
                 rep.is_heisenberg
@@ -177,11 +182,12 @@ def sweep_og6_sections(e_max: int = 199) -> SweepResult:
     return _tally("og6 section divisibility", outcomes())
 
 
-def sweep_rank4_consistency(a_max: int = 50) -> SweepResult:
-    """Across e = 16a-6: triviality iff 3 does not divide a (iff e); h0 checks."""
+def sweep_rank4_consistency() -> SweepResult:
+    """Across e = 16a-6: triviality iff 3 does not divide a (iff e); h0 checks;
+    for 1 <= a <= 50."""
 
     def outcomes():
-        for a in range(1, a_max + 1):
+        for a in range(1, 51):
             e = 16 * a - 6
             rep = theta_report(LineBundleInvariants(family=Family.RANK4, div=2, q=e))
             ok = (
@@ -195,8 +201,10 @@ def sweep_rank4_consistency(a_max: int = 50) -> SweepResult:
     return _tally("rank4 consistency", outcomes())
 
 
-def sweep_tensor_additivity(samples: int = 40) -> SweepResult:
-    """Pointwise additivity of tensor_pairing on the model Kummer pairings."""
+def sweep_tensor_additivity() -> SweepResult:
+    """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
+    n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
+    pairings, the 16 pairs of generators and 40 seeded random pairs."""
     rng = random.Random(11)
 
     def outcomes():
@@ -218,7 +226,7 @@ def sweep_tensor_additivity(samples: int = 40) -> SweepResult:
                                     g.element([rng.randrange(n + 1) for _ in range(4)]),
                                     g.element([rng.randrange(n + 1) for _ in range(4)]),
                                 )
-                                for _ in range(samples)
+                                for _ in range(40)
                             ]
                             yield all(
                                 eval_pairing(t, a, b)
@@ -229,10 +237,10 @@ def sweep_tensor_additivity(samples: int = 40) -> SweepResult:
     return _tally("tensor additivity", outcomes())
 
 
-def sweep_orbit_split(n_max: int = 50, x_bound: int = 200) -> SweepResult:
+def sweep_orbit_split() -> SweepResult:
     """Wall-divisor splitting over every admissible x0.
 
-    For each n <= n_max and |x0| <= x_bound with 2(n+1) | x0^2 - 1, let
+    For each 2 <= n <= 50 and |x0| <= 200 with 2(n+1) | x0^2 - 1, let
     k = (x0^2-1)/(2(n+1)).  When k is even a witness class alpha exists
     (beta = (k/2)e1 + f1) and the splitting must succeed, be unique, and
     reconstruct alpha from isotropic vectors — kum_orbit_split asserts all
@@ -243,9 +251,9 @@ def sweep_orbit_split(n_max: int = 50, x_bound: int = 200) -> SweepResult:
     """
 
     def outcomes():
-        for n in range(2, n_max + 1):
+        for n in range(2, 51):
             two_n1 = 2 * (n + 1)
-            for x0 in range(-x_bound, x_bound + 1):
+            for x0 in range(-200, 201):
                 if (x0 * x0 - 1) % two_n1:
                     continue
                 k = (x0 * x0 - 1) // two_n1
@@ -267,15 +275,16 @@ def sweep_orbit_split(n_max: int = 50, x_bound: int = 200) -> SweepResult:
     return _tally("orbit splitting", outcomes())
 
 
-def sweep_og6_trichotomy(samples: int = 10_000, coord_bound: int = 10) -> SweepResult:
-    """Random primitive vectors land in exactly one class, with div in {1,2}."""
+def sweep_og6_trichotomy() -> SweepResult:
+    """Random primitive vectors land in exactly one class, with div in {1,2}:
+    10,000 seeded vectors, coordinates in [-10, 10] before dividing by the gcd."""
     rng = random.Random(20260821)
     lat = lambda_og6()
 
     def outcomes():
         produced = 0
-        while produced < samples:
-            v = [rng.randint(-coord_bound, coord_bound) for _ in range(8)]
+        while produced < 10_000:
+            v = [rng.randint(-10, 10) for _ in range(8)]
             if not any(v):
                 continue
             g = math.gcd(*v)
@@ -307,5 +316,5 @@ SWEEPS = (
 
 
 def run_all() -> list[SweepResult]:
-    """Every sweep of SWEEPS at its default range, in order."""
+    """Every sweep of SWEEPS, in order."""
     return [sweep() for sweep in SWEEPS]

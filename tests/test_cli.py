@@ -3,6 +3,8 @@
 import ast
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -337,28 +339,73 @@ def test_schrodinger_matrix(capsys):
 
 
 # ---------------------------------------------------------------------------
-# sweep wiring (the real sweeps run in the acceptance tests)
+# sweep wiring (the real sweeps run in tests/test_sweeps.py and the acceptance tests)
 
 
 def test_sweep_reports_and_exit_codes(capsys, monkeypatch):
-    ok = [SweepResult("alpha", 10, 0), SweepResult("beta", 5, 0)]
+    ok = [SweepResult("alpha", 10, 0, 0.25), SweepResult("beta", 5, 0, 0.5)]
     monkeypatch.setattr("hktheta.cli.run_all", lambda: ok)
     code, out, _ = run_cli(capsys, "sweep")
     assert code == 0
     assert out.splitlines() == [
-        "alpha: passed=10 failed=0",
-        "beta: passed=5 failed=0",
-        "total: passed=15 failed=0",
+        "alpha: passed=10 failed=0 seconds=0.25",
+        "beta: passed=5 failed=0 seconds=0.50",
+        "total: passed=15 failed=0 seconds=0.75",
+    ]
+    code, out, _ = run_cli(capsys, "sweep", "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"name": "alpha", "passed": 10, "failed": 0, "seconds": 0.25},
+        {"name": "beta", "passed": 5, "failed": 0, "seconds": 0.5},
     ]
 
-    bad = [SweepResult("alpha", 9, 1)]
+    bad = [SweepResult("alpha", 9, 1, 0.25)]
     monkeypatch.setattr("hktheta.cli.run_all", lambda: bad)
     code, out, _ = run_cli(capsys, "sweep")
     assert code == 1
-    assert out.splitlines()[-1] == "total: passed=9 failed=1"
+    assert out.splitlines()[-1] == "total: passed=9 failed=1 seconds=0.25"
     code, out, _ = run_cli(capsys, "sweep", "--json")
     assert code == 1
-    assert json.loads(out) == [{"name": "alpha", "passed": 9, "failed": 1}]
+    assert json.loads(out) == [{"name": "alpha", "passed": 9, "failed": 1, "seconds": 0.25}]
+
+
+# ---------------------------------------------------------------------------
+# the README's CLI tour
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_tour():
+    """(argv, shown output lines) for each `$ hktheta ...` line of README's sh blocks."""
+    tour = []
+    for block in re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                shown = []
+                tour.append((shlex.split(line[2:], comments=True), shown))
+            elif shown is not None:
+                shown.append(line)
+    return [(argv, shown) for argv, shown in tour if argv[0] == "hktheta"]
+
+
+def _shows(got, shown):
+    # a shown JSON line cut short with " ...}" stands for its prefix
+    return got.startswith(shown[:-4]) if shown.endswith(" ...}") else got == shown
+
+
+def test_readme_tour_matches_the_cli(capsys):
+    tour = [
+        (argv, shown) for argv, shown in readme_tour()
+        if shown and "--file" not in argv and "sweep" not in argv
+    ]
+    assert len(tour) >= 8
+    for argv, shown in tour:
+        code, out, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        got = out.splitlines()
+        assert len(got) == len(shown) and all(map(_shows, got, shown)), (argv, out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,10 @@ from hktheta.heisenberg import (
     character_eval,
     character_norm,
     cyclotomic_poly,
-    gpm_identity,
     gpm_inv,
     gpm_mul,
     gpm_scalar_phase,
     h_commutator,
-    h_identity,
     h_inv,
     h_mul,
     heis_elem,
@@ -34,6 +32,14 @@ from hktheta.heisenberg import (
 )
 
 TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 2, 2, 2)]
+
+
+def h_identity(d):
+    return heis_elem(d, QmodZ(0), (0,) * len(d), (0,) * len(d))
+
+
+def gpm_identity(dim):
+    return GenPermMatrix(dim, tuple(range(dim)), (QmodZ(0),) * dim)
 
 
 def random_heis(rng, d, scalar_den=48):

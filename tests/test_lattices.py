@@ -18,7 +18,6 @@ from hktheta.lattices import (
     lambda_kum,
     lambda_og6,
     og6_class,
-    og6_same_orbit,
 )
 from hktheta.snf import integer_det
 
@@ -144,15 +143,6 @@ def test_og6_class_rejects_imprimitive():
         og6_class(og6_vec(e1=2, f1=2))
     with pytest.raises(ValueError):
         og6_class((0,) * 8)
-
-
-def test_og6_same_orbit():
-    a = og6_vec(e1=1, f1=-1)
-    b = og6_vec(e2=1, f2=-1)
-    assert og6_same_orbit(a, b)
-    assert og6_same_orbit(a, a)
-    assert not og6_same_orbit(a, og6_vec(g1=1))  # same square, different class
-    assert not og6_same_orbit(a, og6_vec(e1=1, f1=-2))  # same class, square -2 vs -4
 
 
 og6_vectors = st.tuples(*([st.integers(-8, 8)] * 8))
