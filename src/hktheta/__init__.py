@@ -22,7 +22,6 @@ from .finabgrp import (
     pairing_radical,
     standard_kum_pairing,
     standard_og6_pairing,
-    symplectic_basis,
     tensor_pairing,
 )
 from .heisenberg import (
@@ -76,7 +75,6 @@ __all__ = [
     "pairing_radical",
     "standard_kum_pairing",
     "standard_og6_pairing",
-    "symplectic_basis",
     "tensor_pairing",
     "GenPermMatrix",
     "HeisElem",

@@ -16,7 +16,7 @@ builds the image of E as the subgroup generated by the columns of the
 generator matrix, then counts the cosets of each order with a counting
 lemma instead of visiting every element of Ghat.  The two cokernel routes
 share no code past the generator matrix, so each serves as an oracle for
-the other.
+the other.  Invariant factors are normalised by gcd and lcm, not factoring.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "standard_kum_pairing",
     "standard_og6_pairing",
     "tensor_pairing",
-    "symplectic_basis",
     "pairing_to_dict",
     "pairing_from_dict",
 ]
@@ -210,29 +209,22 @@ class AbGroupStructure:
 
     @classmethod
     def from_cyclic_orders(cls, orders) -> "AbGroupStructure":
-        """Invariant factors of a direct sum of cyclic groups of the given orders."""
-        per_prime: dict[int, list[int]] = {}
+        """Invariant factors of a direct sum of cyclic groups of the given orders.
+
+        Carries each order down the chain by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b).
+        """
+        chain: list[int] = []
         for o in orders:
             o = int(o)
             if o < 1:
                 raise ValueError("cyclic orders must be positive")
             if o == 1:
                 continue
-            for p, e in factorint(o).items():
-                per_prime.setdefault(p, []).append(e)
-        if not per_prime:
-            return cls(())
-        for exps in per_prime.values():
-            exps.sort(reverse=True)
-        width = max(len(v) for v in per_prime.values())
-        desc = []
-        for s in range(width):
-            d = 1
-            for p, exps in per_prime.items():
-                if s < len(exps):
-                    d *= p ** exps[s]
-            desc.append(d)
-        return cls(tuple(reversed(desc)))
+            for i in reversed(range(len(chain))):
+                chain[i], o = math.lcm(chain[i], o), math.gcd(chain[i], o)
+            if o > 1:
+                chain.insert(0, o)
+        return cls(tuple(chain))
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -528,73 +520,6 @@ def tensor_pairing(p1: Pairing, p2: Pairing) -> Pairing:
         tuple(p1.matrix[i][j] + p2.matrix[i][j] for j in range(r)) for i in range(r)
     )
     return Pairing(p1.group, mat)
-
-
-def symplectic_basis(pairing: Pairing) -> list[tuple[GroupElement, GroupElement]]:
-    """Hyperbolic basis (x_1, y_1), ..., (x_k, y_k) of a nondegenerate pairing.
-
-    Requires uniform generator orders (all equal to the exponent m).  The
-    returned pairs generate the group, cross-pairings vanish, and each
-    e(x_i, y_i) = c_i/m with c_i a unit mod m.
-    """
-    g = pairing.group
-    m = g.exponent
-    if any(o != m for o in g.orders):
-        raise ValueError("symplectic basis requires uniform generator orders")
-    if not is_nondegenerate(pairing):
-        raise ValueError("degenerate pairing has no symplectic basis")
-    r = g.rank
-    w = [[(m // q.den) * q.num % m for q in row] for row in pairing.matrix]
-
-    def cval(x, y):
-        # m * e(x, y) mod m
-        return sum(x[i] * w[i][j] * y[j] for i in range(r) for j in range(r)) % m
-
-    fac = factorint(m)
-    crt = {}
-    for p, a in fac.items():
-        pk = p**a
-        rest = m // pk
-        crt[p] = (rest * pow(rest, -1, pk)) % m
-
-    gens = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    pairs: list[tuple[GroupElement, GroupElement]] = []
-    while True:
-        gens = [x for x in gens if any(x)]
-        if not gens:
-            break
-        lam = [0] * len(gens)
-        mu = [0] * len(gens)
-        for p in fac:
-            hit = next(
-                (
-                    (i, j)
-                    for i in range(len(gens))
-                    for j in range(len(gens))
-                    if cval(gens[i], gens[j]) % p
-                ),
-                None,
-            )
-            if hit is None:
-                raise AssertionError("nondegenerate pairing must admit a unit pair")
-            lam[hit[0]] = (lam[hit[0]] + crt[p]) % m
-            mu[hit[1]] = (mu[hit[1]] + crt[p]) % m
-        u = tuple(sum(lam[i] * gens[i][k] for i in range(len(gens))) % m for k in range(r))
-        v = tuple(sum(mu[i] * gens[i][k] for i in range(len(gens))) % m for k in range(r))
-        c = cval(u, v)
-        if math.gcd(c, m) != 1:
-            raise AssertionError("combined hyperbolic pair is not unimodular")
-        cinv = pow(c, -1, m)
-        nxt = []
-        for x in gens:
-            tv = cval(x, v)
-            tu = cval(x, u)
-            nxt.append(
-                tuple((x[k] - cinv * tv * u[k] + cinv * tu * v[k]) % m for k in range(r))
-            )
-        pairs.append((g.element(u), g.element(v)))
-        gens = nxt
-    return pairs
 
 
 def pairing_to_dict(pairing: Pairing) -> dict:

@@ -9,7 +9,7 @@ Vectors are plain integer tuples in basis order.  Everything here is exact
 integer arithmetic: the pairing v^T.gram.w, the divisibility gcd, orbit
 classification by (square, divisibility, mod-8 residue), and the
 wall-divisor splitting of square -2(n+1), divisibility 2(n+1) classes into
-a pair of isotropic vectors of an ambient U^4.
+a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import divisors
 from .snf import integer_det
 
 __all__ = [
@@ -192,16 +191,15 @@ class OrbitInvariant:
 
 
 def kum_split_candidates(n: int, x0: int) -> list[tuple[int, int]]:
-    """Factorizations n+1 = p*q with 2p | x0-1 and 2q | x0+1.
+    """Factorizations n+1 = p*q with 2p | x0-1 and 2q | x0+1 (at most one).
 
-    These are the splittings whose isotropy witnesses are integral; an
-    actual wall-divisor class has exactly one.
+    These splittings have integral isotropy witnesses; an actual wall-divisor
+    class has exactly one.  Even x0 has none.  For odd x0, p | g1 = gcd(n+1,
+    (x0-1)/2) and q | g2 = gcd(n+1, (x0+1)/2), and g1, g2 divide consecutive
+    integers, so they are coprime: p*q = n+1 forces (p, q) = (g1, g2).
     """
-    return [
-        (p, (n + 1) // p)
-        for p in divisors(n + 1)
-        if (x0 - 1) % (2 * p) == 0 and (x0 + 1) % (2 * ((n + 1) // p)) == 0
-    ]
+    p, q = math.gcd(n + 1, (x0 - 1) // 2), math.gcd(n + 1, (x0 + 1) // 2)
+    return [(p, q)] if x0 % 2 and p * q == n + 1 else []
 
 
 def kum_orbit_split(n: int, alpha) -> OrbitInvariant:

@@ -63,6 +63,23 @@ def test_kummer_text_output(capsys):
     ]
 
 
+def test_kummer_huge_prime_m_finishes():
+    # factoring m = 10**18 + 9 (a prime) by trial division took over 30 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "hktheta", "kummer", "--n", "1000000000000000008",
+         "--div", "1", "--q", "-2000000000000000018"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "m: 1000000000000000009" in lines
+    assert "cokernel: [1000000000000000009, 1000000000000000009]" in lines
+    assert "is_heisenberg: false" in lines
+
+
 def test_kummer_json(capsys):
     rec = run_json(capsys, "kummer", "--n", "2", "--div", "1", "--q", "2")
     assert rec == {
@@ -187,6 +204,27 @@ def test_lattice_orbit(capsys):
     }
     code, _, err = run_cli(capsys, "lattice", "orbit", "--lattice", "og6", "--vector", "1,0,0,0,0,0,0,0")
     assert code == 1 and "kum" in err
+
+
+def test_lattice_orbit_huge_n_finishes():
+    # listing the divisors of n+1 = 10**18 + 9 (a prime) by trial division took over 30 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "hktheta", "lattice", "orbit",
+         "--lattice", "kum:1000000000000000008", "--vector", DELTA2],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "x0: 1",
+        "p: 1000000000000000009",
+        "q: 1",
+        "beta: [0, 0, 0, 0, 0, 0]",
+        "e: [0, 0, 0, 0, 0, 0, 0, -1]",
+        "f: [0, 0, 0, 0, 0, 0, 1, 0]",
+    ]
 
 
 def test_lattice_bad_inputs(capsys):
@@ -491,6 +529,34 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/hktheta: {', '.join(found)}"
+
+
+def test_trial_division_has_only_bounded_callers():
+    # arith.factorint and arith.divisors use trial division, which has no
+    # bound on large inputs; only callers whose input is bounded may use them
+    bounded = {
+        "arith.divisors",
+        "finabgrp._factors_from_order_counts",  # group order <= 10**6
+        "finabgrp.brute_cokernel",  # group order <= 10**6
+        "heisenberg.cyclotomic_poly",  # reached only from character_norm, dim <= 64
+        "sweeps.sweep_kum_criterion",  # fixed range
+        "sweeps.sweep_tensor_additivity",  # fixed range
+    }
+    src = Path(hktheta.__file__).resolve().parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            # methods count as their own top-level functions
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(scope, "name", getattr(top, "name", "<module>"))
+                if f"{path.stem}.{name}" in bounded:
+                    continue
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                        if callee in ("factorint", "divisors"):
+                            found.add(f"{path.name}:{name}")
+    assert not found, f"unbounded trial division in src/hktheta: {', '.join(sorted(found))}"
 
 
 def test_source_imports_only_the_standard_library():

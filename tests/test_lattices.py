@@ -15,6 +15,7 @@ from hktheta.lattices import (
     hyperbolic_sum,
     is_primitive,
     kum_orbit_split,
+    kum_split_candidates,
     lambda_kum,
     lambda_og6,
     og6_class,
@@ -211,6 +212,20 @@ def _assert_split_consistent(n, v, split):
         split.p * e + split.q * f for e, f in zip(split.e, split.f)
     )
     assert recombined == v[:6] + (split.x0, -(n + 1) * split.x0)
+
+
+def test_split_candidates_match_divisor_enumeration():
+    # the closed form against every factorization n+1 = p*q, listed by hand
+    for n in range(2, 121):
+        for x0 in range(-600, 601):
+            expected = [
+                (p, (n + 1) // p)
+                for p in range(1, n + 2)
+                if (n + 1) % p == 0
+                and (x0 - 1) % (2 * p) == 0
+                and (x0 + 1) % (2 * ((n + 1) // p)) == 0
+            ]
+            assert kum_split_candidates(n, x0) == expected, (n, x0)
 
 
 def test_orbit_split_small_scan():
