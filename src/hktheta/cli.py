@@ -39,12 +39,12 @@ from .invariants import (
     theta_report,
 )
 from .lattices import (
+    _OG6,
     GramLattice,
+    _kum_lattice,
     bbf_square,
     divisibility,
     kum_orbit_split,
-    lambda_kum,
-    lambda_og6,
     og6_class,
 )
 from .sweeps import SweepResult, run_all
@@ -54,13 +54,13 @@ __all__ = ["main"]
 
 def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
     if name == "og6":
-        return lambda_og6(), None
+        return _OG6, None
     if name.startswith("kum:"):
         try:
             n = int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ValueError(f"bad lattice name {name!r}") from exc
-        return lambda_kum(n), n
+        return _kum_lattice(n), n
     raise ValueError(f"unknown lattice {name!r}; use kum:<n> or og6")
 
 
@@ -107,6 +107,11 @@ def _report_lines(record: dict) -> list[str]:
     return lines
 
 
+def _theta_record(inv: LineBundleInvariants) -> tuple[dict, list[str]]:
+    record = report_to_dict(theta_report(inv))
+    return record, _report_lines(record)
+
+
 def _cmd_kummer(args) -> tuple[dict, list[str]]:
     q_route = args.div is not None or args.q is not None
     class_route = args.a1 is not None or args.a2 is not None or args.x is not None
@@ -115,36 +120,31 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
     if q_route:
         if args.div is None or args.q is None:
             raise _Usage("the (div, q) route needs both --div and --q")
-        inv = LineBundleInvariants(family=Family.KUM, div=args.div, q=args.q, n=args.n)
-        record = report_to_dict(theta_report(inv))
-    else:
-        if args.a1 is None or args.a2 is None or args.x is None:
-            raise _Usage("the class route needs --a1, --a2 and --x")
-        structure = kum_cokernel_from_class(args.n, args.a1, args.a2, args.x)
-        inv = kum_class_invariants(args.n, args.a1, args.a2, args.x)
-        base = report_to_dict(theta_report(inv))
-        if base["cokernel"] != list(structure.invariant_factors):
-            raise AssertionError(
-                "class route and (div, q) route disagree: "
-                f"{list(structure.invariant_factors)} vs {base['cokernel']}"
-            )
-        record = {"family": base["family"], "n": args.n, "a1": args.a1, "a2": args.a2,
-                  "x": args.x, "b1": math.gcd(args.n + 1, args.a1),
-                  "b2": math.gcd(args.n + 1, args.a2)}
-        record.update((k, v) for k, v in base.items() if k not in ("family", "n"))
+        return _theta_record(
+            LineBundleInvariants(family=Family.KUM, div=args.div, q=args.q, n=args.n))
+    if args.a1 is None or args.a2 is None or args.x is None:
+        raise _Usage("the class route needs --a1, --a2 and --x")
+    structure = kum_cokernel_from_class(args.n, args.a1, args.a2, args.x)
+    inv = kum_class_invariants(args.n, args.a1, args.a2, args.x)
+    base = report_to_dict(theta_report(inv))
+    if base["cokernel"] != list(structure.invariant_factors):
+        raise AssertionError(
+            "class route and (div, q) route disagree: "
+            f"{list(structure.invariant_factors)} vs {base['cokernel']}"
+        )
+    record = {"family": base["family"], "n": args.n, "a1": args.a1, "a2": args.a2,
+              "x": args.x, "b1": math.gcd(args.n + 1, args.a1),
+              "b2": math.gcd(args.n + 1, args.a2)}
+    record.update((k, v) for k, v in base.items() if k not in ("family", "n"))
     return record, _report_lines(record)
 
 
 def _cmd_og6(args) -> tuple[dict, list[str]]:
-    inv = LineBundleInvariants(family=Family.OG6, div=args.div, q=args.q)
-    record = report_to_dict(theta_report(inv))
-    return record, _report_lines(record)
+    return _theta_record(LineBundleInvariants(family=Family.OG6, div=args.div, q=args.q))
 
 
 def _cmd_rank4(args) -> tuple[dict, list[str]]:
-    inv = LineBundleInvariants(family=Family.RANK4, div=2, q=args.e)
-    record = report_to_dict(theta_report(inv))
-    return record, _report_lines(record)
+    return _theta_record(LineBundleInvariants(family=Family.RANK4, div=2, q=args.e))
 
 
 def _cmd_lattice(args) -> tuple[dict, list[str]]:
@@ -164,14 +164,7 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
     if n is None:
         raise ValueError("orbit splitting is defined on kum:<n> lattices")
     split = kum_orbit_split(n, vec)
-    record = {
-        "x0": split.x0,
-        "p": split.p,
-        "q": split.q,
-        "beta": list(split.beta),
-        "e": list(split.e),
-        "f": list(split.f),
-    }
+    record = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(split).items()}
     return record, _report_lines(record)
 
 
@@ -208,16 +201,9 @@ def _cmd_heisenberg(args) -> tuple[dict, list[str]]:
 def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
     elem = _parse_heis_elem(args.d, args.elem)
     mat = schrodinger_matrix(elem)
-    record = {
-        "dim": mat.dim,
-        "perm": list(mat.perm),
-        "phases": [str(p) for p in mat.phases],
-    }
-    lines = [
-        f"dim: {mat.dim}",
-        "perm: " + " ".join(str(p) for p in mat.perm),
-        "phases: " + " ".join(str(p) for p in mat.phases),
-    ]
+    record = {"dim": mat.dim, "perm": list(mat.perm), "phases": [str(p) for p in mat.phases]}
+    lines = [f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
+             "phases: " + " ".join(record["phases"])]
     return record, lines
 
 
@@ -306,8 +292,14 @@ def _emit(args, record, lines):
             print(line)
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     try:
         record, lines = args.handler(args)

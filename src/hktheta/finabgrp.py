@@ -271,6 +271,19 @@ class Pairing:
         object.__setattr__(self, "matrix", mat)
 
 
+def _pairing_units(pairing: Pairing, a_coords, b_coords) -> int:
+    # sum_{i,j} a_i b_j e(gen_i, gen_j) as an integer in units of 1/exponent
+    n = pairing.group.exponent
+    total = 0
+    for ai, row in zip(a_coords, pairing.matrix):
+        if ai == 0:
+            continue
+        for bj, q in zip(b_coords, row):
+            if bj and q.num:
+                total += ai * bj * q.num * (n // q.den)
+    return total
+
+
 def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
     """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z.
 
@@ -279,15 +292,7 @@ def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
     """
     if a.group != pairing.group or b.group != pairing.group:
         raise ValueError("elements do not belong to the pairing's group")
-    n = pairing.group.exponent
-    total = 0
-    for ai, row in zip(a.coords, pairing.matrix):
-        if ai == 0:
-            continue
-        for bj, q in zip(b.coords, row):
-            if bj and q.num:
-                total += ai * bj * q.num * (n // q.den)
-    return QmodZ(total, n)
+    return QmodZ(_pairing_units(pairing, a.coords, b.coords), pairing.group.exponent)
 
 
 def e_matrix(pairing: Pairing) -> tuple[tuple[int, ...], ...]:
@@ -530,10 +535,16 @@ def pairing_to_dict(pairing: Pairing) -> dict:
     }
 
 
+MAX_PAIRING_RANK = 100  # the Smith form costs about rank^3 operations
+
+
 def pairing_from_dict(obj) -> Pairing:
-    """Inverse of pairing_to_dict; malformed documents raise ValueError."""
+    """Inverse of pairing_to_dict; malformed documents, and documents of rank
+    above MAX_PAIRING_RANK, raise ValueError."""
     try:
         orders = tuple(obj["orders"])
+        if len(orders) > MAX_PAIRING_RANK:
+            raise ValueError(f"pairing rank {len(orders)} exceeds the limit {MAX_PAIRING_RANK}")
         matrix = tuple(tuple(QmodZ.parse(s) for s in row) for row in obj["matrix"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc

@@ -190,13 +190,19 @@ def _coords_of(group: FinAbGroup, idx: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+MAX_SCHRODINGER_DIM = 4096  # the matrix has one column per element of J
+
+
 def schrodinger_matrix(a: HeisElem) -> GenPermMatrix:
     """Matrix of (t,x,f) on C[J], basis indexed by J in mixed radix, d_1 fastest.
 
-    Column y maps to row y - x with phase t + <f, y-x>.
+    Column y maps to row y - x with phase t + <f, y-x>.  The dimension
+    prod(d) may not exceed MAX_SCHRODINGER_DIM.
     """
     j = a.x.group
     dim = j.order
+    if dim > MAX_SCHRODINGER_DIM:
+        raise ValueError(f"type dim {dim} exceeds the Schrodinger dim limit {MAX_SCHRODINGER_DIM}")
     perm = []
     phases = []
     for col in range(dim):

@@ -223,12 +223,6 @@ class ThetaReport:
     schrodinger_multiplicity: int | None
 
 
-_REP_TYPE = {
-    Family.OG6: (2, 2, 2, 2),
-    Family.RANK4: (3, 3),
-}
-
-
 def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     """Evaluate cokernel and criterion independently; they must agree.
 
@@ -245,11 +239,11 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     elif inv.family is Family.OG6:
         cokernel = og6_cokernel(inv.div, inv.q)
         criterion = og6_is_heisenberg(inv.div, inv.q)
-        rep_type = _REP_TYPE[Family.OG6]
+        rep_type = (2, 2, 2, 2)
     else:
         cokernel = rank4_cokernel(inv.q)
         criterion = rank4_is_heisenberg(inv.q)
-        rep_type = _REP_TYPE[Family.RANK4]
+        rep_type = (3, 3)
     if criterion != cokernel.is_trivial():
         raise AssertionError("Heisenberg criterion and cokernel triviality disagree")
     h0 = riemann_roch(inv) if inv.q > 0 else None
@@ -270,19 +264,11 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
 def report_to_dict(report: ThetaReport) -> dict:
     """Flat serializable record; absent optionals are omitted, never null."""
     inv = report.invariants
-    out: dict = {"family": inv.family.value}
-    if inv.n is not None:
-        out["n"] = inv.n
-    out["div"] = inv.div
-    out["q"] = inv.q
-    if report.div0 is not None:
-        out["div0"] = report.div0
-    if report.m is not None:
-        out["m"] = report.m
-    out["cokernel"] = list(report.cokernel.invariant_factors)
-    out["is_heisenberg"] = report.is_heisenberg
-    if report.h0 is not None:
-        out["h0"] = report.h0
-    if report.schrodinger_multiplicity is not None:
-        out["multiplicity"] = report.schrodinger_multiplicity
-    return out
+    fields = [
+        ("family", inv.family.value), ("n", inv.n), ("div", inv.div), ("q", inv.q),
+        ("div0", report.div0), ("m", report.m),
+        ("cokernel", list(report.cokernel.invariant_factors)),
+        ("is_heisenberg", report.is_heisenberg), ("h0", report.h0),
+        ("multiplicity", report.schrodinger_multiplicity),
+    ]
+    return {key: value for key, value in fields if value is not None}

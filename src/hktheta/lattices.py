@@ -15,8 +15,10 @@ a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .snf import integer_det
 
@@ -94,6 +96,12 @@ def lambda_kum(n: int) -> GramLattice:
     return GramLattice(f"kum:{n}", gram, basis)
 
 
+@lru_cache(maxsize=64)
+def _kum_lattice(n: int) -> GramLattice:
+    # one shared (frozen) lambda_kum(n) per recent n; n comes from user input, so bounded
+    return lambda_kum(n)
+
+
 def lambda_og6() -> GramLattice:
     """U^3 + <-2> + <-2>; basis (e1,f1,e2,f2,e3,f3,g1,g2)."""
     gram = _block_diag([_U, _U, _U, ((-2,),), ((-2,),)])
@@ -109,7 +117,7 @@ def _as_vector(lat: GramLattice, v) -> tuple[int, ...]:
 
 
 def _gram_times(lat: GramLattice, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(lat.rank)) for row in lat.gram)
+    return tuple(sum(map(operator.mul, row, v)) for row in lat.gram)
 
 
 def bbf_pair(lat: GramLattice, v, w) -> int:
@@ -213,7 +221,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     internal assertion error, while bad input squares or divisibilities are
     ValueErrors.
     """
-    lat = lambda_kum(n)
+    lat = _kum_lattice(n)
     v = _as_vector(lat, alpha)
     if not is_primitive(lat, v):
         raise ValueError("orbit splitting requires a primitive vector")

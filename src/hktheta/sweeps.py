@@ -14,13 +14,14 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .arith import divisors
 from .finabgrp import (
     AbGroupStructure,
     OG6PairingCase,
+    _pairing_units,
     brute_cokernel,
-    eval_pairing,
     pairing_cokernel,
     standard_kum_pairing,
     standard_og6_pairing,
@@ -155,12 +156,11 @@ def sweep_kum_sections() -> SweepResult:
                 rep = theta_report(
                     LineBundleInvariants(family=Family.KUM, div=1, q=2 * e, n=n)
                 )
-                ok = (
+                yield (
                     rep.is_heisenberg
                     and rep.h0 % (n + 1) ** 2 == 0
                     and (rep.schrodinger_multiplicity == 1) == (e == 1)
                 )
-                yield ok
 
     return _tally("kum section divisibility", outcomes())
 
@@ -190,13 +190,12 @@ def sweep_rank4_consistency() -> SweepResult:
         for a in range(1, 51):
             e = 16 * a - 6
             rep = theta_report(LineBundleInvariants(family=Family.RANK4, div=2, q=e))
-            ok = (
+            yield (
                 rank4_a(e) == a
                 and rep.cokernel.is_trivial() == (a % 3 != 0) == (e % 3 != 0)
                 and rep.h0 == 3 * math.comb(a + 2, 2)
                 and (not rep.is_heisenberg or rep.h0 % 9 == 0)
             )
-            yield ok
 
     return _tally("rank4 consistency", outcomes())
 
@@ -204,35 +203,30 @@ def sweep_rank4_consistency() -> SweepResult:
 def sweep_tensor_additivity() -> SweepResult:
     """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
     n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
-    pairings, the 16 pairs of generators and 40 seeded random pairs."""
+    pairings, the 16 pairs of generators and 40 seeded random pairs.  Values
+    are compared as integers in units of 1/(n+1), the exponent of the group."""
     rng = random.Random(11)
+    gens = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    gen_pairs = list(product(gens, repeat=2))
 
     def outcomes():
         for n in (2, 3, 5):
             divs = divisors(n + 1)
-            for b1 in divs:
-                for b2 in divs:
-                    for c1 in divs:
-                        for c2 in divs:
-                            p1 = standard_kum_pairing(n, b1, b2)
-                            p2 = standard_kum_pairing(n, c1, c2)
-                            t = tensor_pairing(p1, p2)
-                            g = p1.group
-                            pairs = [
-                                (g.gen(i), g.gen(j)) for i in range(4) for j in range(4)
-                            ]
-                            pairs += [
-                                (
-                                    g.element([rng.randrange(n + 1) for _ in range(4)]),
-                                    g.element([rng.randrange(n + 1) for _ in range(4)]),
-                                )
-                                for _ in range(40)
-                            ]
-                            yield all(
-                                eval_pairing(t, a, b)
-                                == eval_pairing(p1, a, b) + eval_pairing(p2, a, b)
-                                for a, b in pairs
-                            )
+            models = [standard_kum_pairing(n, b1, b2) for b1, b2 in product(divs, repeat=2)]
+            for p1, p2 in product(models, repeat=2):
+                t = tensor_pairing(p1, p2)
+                pairs = gen_pairs + [
+                    (
+                        tuple(rng.randrange(n + 1) for _ in range(4)),
+                        tuple(rng.randrange(n + 1) for _ in range(4)),
+                    )
+                    for _ in range(40)
+                ]
+                yield all(
+                    (_pairing_units(t, a, b) - _pairing_units(p1, a, b)
+                     - _pairing_units(p2, a, b)) % (n + 1) == 0
+                    for a, b in pairs
+                )
 
     return _tally("tensor additivity", outcomes())
 

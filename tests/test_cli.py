@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import hktheta
+import hktheta.cli as cli
 from hktheta.cli import main
 from hktheta.finabgrp import (
+    MAX_PAIRING_RANK,
     AbGroupStructure,
     OG6PairingCase,
     pairing_to_dict,
@@ -22,6 +24,7 @@ from hktheta.finabgrp import (
     standard_og6_pairing,
     symplectic_pairing,
 )
+from hktheta.heisenberg import MAX_SCHRODINGER_DIM
 from hktheta.sweeps import SweepResult
 
 
@@ -312,6 +315,21 @@ def test_pairing_file_errors(capsys, tmp_path):
     assert "order inf is not an integer" in err and "Traceback" not in err
 
 
+def test_pairing_rank_limit(capsys, tmp_path):
+    # the rank is checked before the matrix is read: this one is never parsed
+    r = MAX_PAIRING_RANK + 1
+    too_wide = tmp_path / "too_wide.json"
+    too_wide.write_text(json.dumps({"orders": [2] * r, "matrix": []}))
+    code, out, err = run_cli(capsys, "pairing", "cokernel", "--file", str(too_wide))
+    assert code == 1 and out == ""
+    assert err == f"error: pairing rank {r} exceeds the limit {MAX_PAIRING_RANK}\n"
+    r = MAX_PAIRING_RANK
+    widest = tmp_path / "widest.json"
+    widest.write_text(json.dumps({"orders": [2] * r, "matrix": [["0/1"] * r] * r}))
+    code, out, _ = run_cli(capsys, "pairing", "nondeg", "--file", str(widest))
+    assert (code, out) == (0, "false\n")
+
+
 def test_pairing_wide_document_finishes(tmp_path, wide_pairing_doc):
     # an unreduced Smith form did not finish in 120 s on this document
     path = tmp_path / "wide.json"
@@ -376,6 +394,20 @@ def test_schrodinger_matrix(capsys):
     assert rec == {"dim": 2, "perm": [1, 0], "phases": ["0/1", "1/2"]}
 
 
+def test_schrodinger_dim_limit(capsys):
+    # 10^8 columns would take about half an hour (extrapolated); refused before any work
+    code, out, err = run_cli(
+        capsys, "schrodinger", "matrix", "--d", "10000,10000", "--elem", "0;(1,0);(0,0)"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: type dim 100000000 exceeds the Schrodinger dim limit {MAX_SCHRODINGER_DIM}\n"
+    )
+    assert MAX_SCHRODINGER_DIM == 64 * 64
+    rec = run_json(capsys, "schrodinger", "matrix", "--d", "64,64", "--elem", "0;(1,0);(0,0)")
+    assert rec["dim"] == MAX_SCHRODINGER_DIM
+
+
 # ---------------------------------------------------------------------------
 # sweep wiring (the real sweeps run in tests/test_sweeps.py and the acceptance tests)
 
@@ -405,6 +437,31 @@ def test_sweep_reports_and_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "--json")
     assert code == 1
     assert json.loads(out) == [{"name": "alpha", "passed": 9, "failed": 1, "seconds": 0.25}]
+
+
+def test_main_can_be_called_again_in_one_process(capsys, monkeypatch, kum_pairing_file):
+    wrong = AbGroupStructure((3, 3))
+    monkeypatch.setattr("hktheta.cli.kum_cokernel_from_class", lambda *args: wrong)
+    sequence = [
+        ("og6", "--div", "1"),  # usage error
+        ("kummer", "--n", "2", "--div", "4", "--q", "2"),  # domain error
+        ("kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0"),  # internal check fails
+        ("rank4", "--e", "42", "--json"),
+        ("rank4", "--e", "42"),
+        ("pairing", "cokernel", "--file", kum_pairing_file),
+    ]
+    first = []
+    for argv in sequence:  # each call is the first of its process
+        monkeypatch.setattr(cli, "_PARSER", None)
+        first.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in first] == [2, 1, 3, 0, 0, 0]
+
+    build = cli.build_parser
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert [run_cli(capsys, *argv) for argv in sequence * 2] == first * 2
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hktheta.lattices import (
     GramLattice,
+    _kum_lattice,
     OG6Class,
     bbf_pair,
     bbf_square,
@@ -249,3 +250,21 @@ def test_orbit_split_small_scan():
                 _assert_split_consistent(n, v, split)
                 seen += 1
     assert seen > 40
+
+
+def test_kum_lattice_memo_is_invisible():
+    # interleaved n: every split equals the one made with an empty memo
+    for n in (2, 50, 2, 7, 50):
+        two_n1 = 2 * (n + 1)
+        for x0, beta in ((1, (0, 1)), (-1, (0, 1)), (2 * n + 1, (n, 1))):
+            alpha = tuple(two_n1 * b for b in beta) + (0, 0, 0, 0, x0)
+            split = kum_orbit_split(n, alpha)
+            _kum_lattice.cache_clear()
+            assert split == kum_orbit_split(n, alpha)
+        assert _kum_lattice(n) == lambda_kum(n)
+    with pytest.raises(ValueError):
+        lambda_kum(1)
+    with pytest.raises(ValueError):
+        kum_orbit_split(1, (0, 4, 0, 0, 0, 0, 1))
+    # n comes from user input, so the memo must stay bounded
+    assert isinstance(_kum_lattice.cache_info().maxsize, int)

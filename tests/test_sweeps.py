@@ -33,3 +33,11 @@ def test_sweep_passes_every_check(sweep, checks):
 def test_sweeps_take_no_parameters():
     # every sweep runs one fixed range, so the battery checks one sample
     assert [s.__name__ for s in SWEEPS if inspect.signature(s).parameters] == []
+
+
+def test_tensor_additivity_catches_a_wrong_tensor(monkeypatch):
+    # a tensor that drops its second factor must fail the integer comparison
+    monkeypatch.setattr("hktheta.sweeps.tensor_pairing", lambda p1, p2: p1)
+    result = sweep_tensor_additivity()
+    assert result.failed > 0
+    assert result.passed + result.failed == 353
