@@ -45,7 +45,6 @@ __all__ = [
     "is_nondegenerate",
     "brute_cokernel",
     "zero_pairing",
-    "symplectic_pairing",
     "standard_kum_pairing",
     "standard_og6_pairing",
     "tensor_pairing",
@@ -151,10 +150,6 @@ class FinAbGroup:
     def coord_tuples(self):
         return product(*(range(o) for o in self.orders))
 
-    def elements(self):
-        for coords in self.coord_tuples():
-            yield self.element(coords)
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -188,9 +183,6 @@ class GroupElement:
         return GroupElement(self.group, tuple(k * a for a in self.coords))
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -462,16 +454,6 @@ def _pairing_from_pairs(group: FinAbGroup, pairs) -> Pairing:
         mat[i][j] = val
         mat[j][i] = -val
     return Pairing(group, tuple(tuple(row) for row in mat))
-
-
-def symplectic_pairing(m: int, npairs: int) -> Pairing:
-    """Standard symplectic pairing on (Z/m)^(2*npairs): e(g_{2k}, g_{2k+1}) = 1/m."""
-    if m < 2 or npairs < 1:
-        raise ValueError("need modulus >= 2 and at least one hyperbolic pair")
-    group = FinAbGroup((m,) * (2 * npairs))
-    return _pairing_from_pairs(
-        group, [(2 * k, 2 * k + 1, QmodZ(1, m)) for k in range(npairs)]
-    )
 
 
 def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:

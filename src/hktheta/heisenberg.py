@@ -13,7 +13,8 @@ delta functions this sends delta_y to the phase t + <f, y-x> times
 delta_{y-x}; that convention (row y-x, phase evaluated at y-x) is the one
 that makes rho a homomorphism, and it is pinned by exhaustive tests.
 Matrices are kept exact as generalized permutation matrices: one
-root-of-unity entry per column, stored as a Q/Z phase.
+root-of-unity entry per column, stored as an int phase p mod M, M the least
+modulus the phases need; phases are ints throughout, QmodZ only at the edge.
 
 The Schur-test character norm is evaluated on the finite quotient
 mu_N x J x Jhat with N the exponent of J.  Traces come from permutation
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg
 
 from .arith import divisors
 from .finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
@@ -68,15 +69,17 @@ class HeisElem:
         return self.x.group.orders
 
 
+def _char_units(f, x, orders, n: int) -> int:
+    # <f, x> in units of 1/n, for n a multiple of every order
+    return sum([fi * xi * (n // di) for fi, xi, di in zip(f, x, orders)]) % n
+
+
 def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
     """<f, x> = sum f_i x_i / d_i in Q/Z: the character f evaluated at x."""
     if f.group != x.group:
         raise ValueError("character and argument must share the type d")
-    total = Fraction(0)
-    for fi, xi, di in zip(f.coords, x.coords, f.group.orders):
-        if fi and xi:
-            total += Fraction(fi * xi, di)
-    return QmodZ(total.numerator, total.denominator)
+    n = f.group.exponent
+    return QmodZ(_char_units(f.coords, x.coords, f.group.orders, n), n)
 
 
 def heis_elem(d, scalar: QmodZ, x, f) -> HeisElem:
@@ -89,23 +92,45 @@ def _check_same_type(a: HeisElem, b: HeisElem):
         raise ValueError("elements have different types d")
 
 
+def _units(a: HeisElem, m: int) -> tuple:
+    return a.scalar.num * (m // a.scalar.den), a.x.coords, a.f.coords
+
+
+# The group law and inverse on int triples (t, x, f), t in units of 1/m; m is a
+# multiple of every d_i, and nothing is reduced until the result leaves.
+def _law(u, v, d, m: int) -> tuple:
+    (t, x, f), (s, y, g) = u, v
+    return t + s + _char_units(g, x, d, m), tuple(map(add, x, y)), tuple(map(add, f, g))
+
+
+def _law_inv(u, d, m: int) -> tuple:
+    t, x, f = u
+    return _char_units(f, x, d, m) - t, tuple(map(neg, x)), tuple(map(neg, f))
+
+
 def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     """(t,x,f)(s,y,g) = (t + s + <g,x>, x+y, f+g)."""
     _check_same_type(a, b)
-    scalar = a.scalar + b.scalar + character_eval(b.f, a.x)
-    return HeisElem(scalar, a.x + b.x, a.f + b.f)
+    m = math.lcm(a.x.group.exponent, a.scalar.den, b.scalar.den)
+    t, x, f = _law(_units(a, m), _units(b, m), a.d, m)
+    return HeisElem(QmodZ(t, m), GroupElement(a.x.group, x), GroupElement(a.x.group, f))
 
 
 def h_inv(a: HeisElem) -> HeisElem:
-    return HeisElem(-a.scalar + character_eval(a.f, a.x), -a.x, -a.f)
+    m = math.lcm(a.x.group.exponent, a.scalar.den)
+    t, x, f = _law_inv(_units(a, m), a.d, m)
+    return HeisElem(QmodZ(t, m), GroupElement(a.x.group, x), GroupElement(a.x.group, f))
 
 
 def h_commutator(a: HeisElem, b: HeisElem) -> QmodZ:
     """Central scalar of a b a^-1 b^-1, computed literally from the group law."""
-    c = h_mul(h_mul(a, b), h_mul(h_inv(a), h_inv(b)))
-    if not (c.x.is_zero() and c.f.is_zero()):
+    _check_same_type(a, b)
+    d, m = a.d, math.lcm(a.x.group.exponent, a.scalar.den, b.scalar.den)
+    ua, ub = _units(a, m), _units(b, m)
+    t, x, f = _law(_law(ua, ub, d, m), _law(_law_inv(ua, d, m), _law_inv(ub, d, m), d, m), d, m)
+    if any(c % di for c, di in zip(x + f, d + d)):
         raise AssertionError("commutator of lifts must be central")
-    return c.scalar
+    return QmodZ(t, m)
 
 
 def heis_pairing(d) -> Pairing:
@@ -116,78 +141,63 @@ def heis_pairing(d) -> Pairing:
     form assumed.
     """
     d = tuple(int(di) for di in d)
-    g = len(d)
-    group = FinAbGroup(d + d)
     j = FinAbGroup(d)
-
-    def lift(i: int) -> HeisElem:
-        if i < g:
-            return HeisElem(QmodZ(0), j.gen(i), j.zero())
-        return HeisElem(QmodZ(0), j.zero(), j.gen(i - g))
-
-    lifts = [lift(i) for i in range(2 * g)]
-    matrix = tuple(
-        tuple(h_commutator(lifts[i], lifts[j2]) for j2 in range(2 * g))
-        for i in range(2 * g)
-    )
-    return Pairing(group, matrix)
+    lifts = [HeisElem(QmodZ(0), j.gen(i), j.zero()) for i in range(len(d))]
+    lifts += [HeisElem(QmodZ(0), j.zero(), j.gen(i)) for i in range(len(d))]
+    matrix = tuple(tuple(h_commutator(a, b) for b in lifts) for a in lifts)
+    return Pairing(FinAbGroup(d + d), matrix)
 
 
 @dataclass(frozen=True)
 class GenPermMatrix:
     """Matrix with exactly one root-of-unity entry per column.
 
-    Column y holds exp(2 pi i phases[y]) in row perm[y] and zeros elsewhere.
+    Column y holds exp(2 pi i phases[y] / modulus) in row perm[y] and zeros
+    elsewhere; construction reduces the int phases to the least modulus.
     """
 
     dim: int
     perm: tuple[int, ...]
-    phases: tuple[QmodZ, ...]
+    phases: tuple[int, ...]
+    modulus: int = 1
 
     def __post_init__(self):
         if len(self.perm) != self.dim or len(self.phases) != self.dim:
             raise ValueError("perm and phases must have length dim")
         if sorted(self.perm) != list(range(self.dim)):
             raise ValueError("perm must be a bijection on 0..dim-1")
+        if self.modulus < 1:
+            raise ValueError("phase modulus must be positive")
+        g = math.gcd(self.modulus, *self.phases)
+        m = self.modulus // g
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "phases", tuple([p // g % m for p in self.phases]))
 
 
 def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:
     """Exact matrix product A.B: compose permutations, add phases along paths."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    perm = tuple(a.perm[b.perm[y]] for y in range(b.dim))
-    phases = tuple(b.phases[y] + a.phases[b.perm[y]] for y in range(b.dim))
-    return GenPermMatrix(a.dim, perm, phases)
+    m = math.lcm(a.modulus, b.modulus)
+    ka, kb, aperm, aphases = m // a.modulus, m // b.modulus, a.perm, a.phases
+    perm = tuple([aperm[r] for r in b.perm])
+    phases = [kb * p + ka * aphases[r] for p, r in zip(b.phases, b.perm)]
+    return GenPermMatrix(a.dim, perm, phases, m)
 
 
 def gpm_inv(a: GenPermMatrix) -> GenPermMatrix:
     iperm = [0] * a.dim
     for y, row in enumerate(a.perm):
         iperm[row] = y
-    phases = tuple(-a.phases[iperm[y]] for y in range(a.dim))
-    return GenPermMatrix(a.dim, tuple(iperm), phases)
+    phases = [-a.phases[col] for col in iperm]
+    return GenPermMatrix(a.dim, tuple(iperm), phases, a.modulus)
 
 
 def gpm_scalar_phase(a: GenPermMatrix) -> QmodZ:
     """Phase t of a scalar matrix exp(2 pi i t)*Id; ValueError if not scalar."""
     if a.perm != tuple(range(a.dim)) or len(set(a.phases)) != 1:
         raise ValueError("matrix is not scalar")
-    return a.phases[0]
-
-
-def _index_of(group: FinAbGroup, coords) -> int:
-    idx = 0
-    for c, o in zip(reversed(coords), reversed(group.orders)):
-        idx = idx * o + c
-    return idx
-
-
-def _coords_of(group: FinAbGroup, idx: int) -> tuple[int, ...]:
-    coords = []
-    for o in group.orders:
-        idx, c = divmod(idx, o)
-        coords.append(c)
-    return tuple(coords)
+    return QmodZ(a.phases[0], a.modulus)
 
 
 MAX_SCHRODINGER_DIM = 4096  # the matrix has one column per element of J
@@ -203,13 +213,17 @@ def schrodinger_matrix(a: HeisElem) -> GenPermMatrix:
     dim = j.order
     if dim > MAX_SCHRODINGER_DIM:
         raise ValueError(f"type dim {dim} exceeds the Schrodinger dim limit {MAX_SCHRODINGER_DIM}")
-    perm = []
-    phases = []
-    for col in range(dim):
-        w = j.element(_coords_of(j, col)) - a.x
-        perm.append(_index_of(j, w.coords))
-        phases.append(a.scalar + character_eval(a.f, w))
-    return GenPermMatrix(dim, tuple(perm), tuple(phases))
+    t = a.scalar
+    m = math.lcm(j.exponent, t.den)
+    rows, phases, stride = [0], [t.num * (m // t.den)], 1
+    # one coordinate at a time: column coordinate k has row coordinate k - x_i
+    for xi, fi, di in zip(a.x.coords, a.f.coords, j.orders):
+        ws = [(k - xi) % di for k in range(di)]
+        step = fi * (m // di)
+        rows = [r + w * stride for w in ws for r in rows]
+        phases = [p + w * step for w in ws for p in phases]
+        stride *= di
+    return GenPermMatrix(dim, tuple(rows), phases, m)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -246,15 +260,15 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 DEFAULT_CHAR_NORM_BOUND = 64
 
 
-def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> Fraction:
+def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> int:
     """(1/|Q|) sum |trace|^2 over the finite quotient Q = mu_N x J x Jhat.
 
     N is the exponent of J; traces are read off permutation fixed points and
     |trace|^2 is accumulated in Z[x]/(x^N - 1), with x standing for a
     primitive N-th root of unity.  The total is reduced modulo the N-th
     cyclotomic polynomial — the remainder must be an integer constant — and
-    divided by |Q| = N * dim^2.  Equals 1 exactly when the representation
-    is irreducible, which is the expected value for every type d.
+    divided by |Q| = N * dim^2, which leaves an integer (Q is a finite group).
+    It is 1 exactly when the representation is irreducible, as for every d.
     """
     j = FinAbGroup(tuple(d))
     dim = j.order
@@ -266,19 +280,12 @@ def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> Fraction:
     # trace is the zero polynomial, so only (t, 0, f) contributes.
     for t in range(n):
         for f_coords in j.coord_tuples():
-            elem = HeisElem(QmodZ(t, n), j.zero(), j.element(f_coords))
-            mat = schrodinger_matrix(elem)
+            mat = schrodinger_matrix(HeisElem(QmodZ(t, n), j.zero(), j.element(f_coords)))
+            if mat.perm != tuple(range(dim)) or n % mat.modulus:
+                raise AssertionError("x = 0 must give a diagonal of N-th roots of unity")
             trace = [0] * n
-            hits = 0
-            for y in range(dim):
-                if mat.perm[y] == y:
-                    ph = mat.phases[y]
-                    if n % ph.den:
-                        raise AssertionError("phase must be an N-th root of unity")
-                    trace[ph.num * (n // ph.den) % n] += 1
-                    hits += 1
-            if hits != dim:
-                raise AssertionError("x = 0 must fix every basis vector")
+            for ph in mat.phases:
+                trace[ph * (n // mat.modulus)] += 1
             for i in range(n):
                 if trace[i]:
                     for k in range(n):
@@ -287,8 +294,10 @@ def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> Fraction:
     _, rem = _poly_divmod(total, list(cyclotomic_poly(n)))
     if len(rem) > 1:
         raise AssertionError("character norm must reduce to an integer constant")
-    value = rem[0] if rem else 0
-    return Fraction(value, n * dim * dim)
+    value, order = (rem[0] if rem else 0), n * dim * dim
+    if value % order:
+        raise AssertionError("character norm must be an integer")
+    return value // order
 
 
 def schrodinger_multiplicity(dim_v: int, d) -> int:

@@ -193,21 +193,29 @@ def rank4_is_heisenberg(e: int) -> bool:
     return e % 3 != 0
 
 
+MAX_H0_BITS = 14_000  # about 4,215 digits: under CPython's default 4,300-digit int-to-str limit
+
+
 def riemann_roch(inv: LineBundleInvariants) -> int:
     """Section count h^0 for an ample primitive class with the given square.
 
     KUM: (n+1)*C(e+n, n) with e = q/2.  OG6: 4*C(e+3, 3).  RANK4: 3*C(a+2, 2).
+    A count over MAX_H0_BITS bits raises ValueError, before math.comb if it can.
     """
     if inv.q <= 0:
         raise ValueError("the section-count formulas require q > 0")
     if inv.family is Family.KUM:
-        e = inv.q // 2
-        return (inv.n + 1) * math.comb(e + inv.n, inv.n)
-    if inv.family is Family.OG6:
-        e = inv.q // 2
-        return 4 * math.comb(e + 3, 3)
-    a = rank4_a(inv.q)
-    return 3 * math.comb(a + 2, 2)
+        coef, top, k = inv.n + 1, inv.q // 2 + inv.n, inv.n
+    elif inv.family is Family.OG6:
+        coef, top, k = 4, inv.q // 2 + 3, 3
+    else:
+        coef, top, k = 3, rank4_a(inv.q) + 2, 2
+    k = min(k, top - k)  # >= 1 here
+    # C(top, k) >= (top // k)^k, so the first test refuses only counts that are too big
+    if (k * ((top // k).bit_length() - 1) > MAX_H0_BITS
+            or (h0 := coef * math.comb(top, k)).bit_length() > MAX_H0_BITS):
+        raise ValueError(f"h0 exceeds the section-count limit MAX_H0_BITS = {MAX_H0_BITS} bits")
+    return h0
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,19 @@
+"""Helpers shared by several test modules; not collected as tests."""
+
+from hktheta.finabgrp import FinAbGroup, Pairing, QmodZ
+
+
+def symplectic_pairing(m: int, npairs: int) -> Pairing:
+    """Standard symplectic pairing on (Z/m)^(2*npairs): e(g_{2k}, g_{2k+1}) = 1/m.
+
+    m < 2 or npairs < 1 give no valid group, so FinAbGroup raises ValueError.
+    """
+    r = 2 * npairs
+    group = FinAbGroup((m,) * r)
+
+    def entry(i: int, j: int) -> QmodZ:
+        if i // 2 != j // 2 or i == j:
+            return QmodZ(0)
+        return QmodZ(1 if i < j else -1, m)
+
+    return Pairing(group, tuple(tuple(entry(i, j) for j in range(r)) for i in range(r)))

@@ -22,10 +22,11 @@ from hktheta.finabgrp import (
     pairing_to_dict,
     standard_kum_pairing,
     standard_og6_pairing,
-    symplectic_pairing,
 )
 from hktheta.heisenberg import MAX_SCHRODINGER_DIM
+from hktheta.invariants import MAX_H0_BITS
 from hktheta.sweeps import SweepResult
+from hk_helpers import symplectic_pairing
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,31 @@ def test_kummer_huge_prime_m_finishes():
     assert "m: 1000000000000000009" in lines
     assert "cokernel: [1000000000000000009, 1000000000000000009]" in lines
     assert "is_heisenberg: false" in lines
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kummer", "--n", "200000", "--div", "1", "--q", "400000"],
+        ["og6", "--div", "1", "--q", "2" + "0" * 3000],
+        ["kummer", "--n", "1000000000000000008", "--div", "1", "--q", "2000000000000000018"],
+    ],
+    ids=["kummer-n200000", "og6-q2e3000", "kummer-n1e18"],
+)
+def test_section_count_limit_refuses_early(argv):
+    # h0 has over 10^4 digits in the first two and about 6*10^17 in the last: the
+    # first two ended in Python's int-to-str error (2.2 s for kummer), the last never ended
+    proc = subprocess.run(
+        [sys.executable, "-m", "hktheta", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: h0 exceeds the section-count limit MAX_H0_BITS = {MAX_H0_BITS} bits\n"
+    )
 
 
 def test_kummer_json(capsys):
@@ -406,6 +432,40 @@ def test_schrodinger_dim_limit(capsys):
     assert MAX_SCHRODINGER_DIM == 64 * 64
     rec = run_json(capsys, "schrodinger", "matrix", "--d", "64,64", "--elem", "0;(1,0);(0,0)")
     assert rec["dim"] == MAX_SCHRODINGER_DIM
+
+
+# the parent's bytes for one (8,8) request, pinned
+GOLDEN_SCHRODINGER_8x8 = (
+    '{"dim": 64, "perm": [29, 30, 31, 24, 25, 26, 27, 28, 37, 38, 39, 32, 33, 34, 35, '
+    '36, 45, 46, 47, 40, 41, 42, 43, 44, 53, 54, 55, 48, 49, 50, 51, 52, 61, 62, 63, 56, '
+    '57, 58, 59, 60, 5, 6, 7, 0, 1, 2, 3, 4, 13, 14, 15, 8, 9, 10, 11, 12, 21, 22, 23, '
+    '16, 17, 18, 19, 20], "phases": ["1/2", "1/4", "0/1", "3/4", "1/2", "1/4", "0/1", '
+    '"3/4", "5/8", "3/8", "1/8", "7/8", "5/8", "3/8", "1/8", "7/8", "3/4", "1/2", "1/4", '
+    '"0/1", "3/4", "1/2", "1/4", "0/1", "7/8", "5/8", "3/8", "1/8", "7/8", "5/8", "3/8", '
+    '"1/8", "0/1", "3/4", "1/2", "1/4", "0/1", "3/4", "1/2", "1/4", "1/8", "7/8", "5/8", '
+    '"3/8", "1/8", "7/8", "5/8", "3/8", "1/4", "0/1", "3/4", "1/2", "1/4", "0/1", "3/4", '
+    '"1/2", "3/8", "1/8", "7/8", "5/8", "3/8", "1/8", "7/8", "5/8"]}'
+)
+
+
+def test_schrodinger_goldens(capsys):
+    # a scalar outside (1/N)Z: 1/5 on the type (2,2), whose exponent is 2
+    code, out, _ = run_cli(
+        capsys, "schrodinger", "matrix", "--d", "2,2", "--elem", "1/5;(1,0);(0,1)"
+    )
+    assert (code, out) == (0, "dim: 4\nperm: 1 0 3 2\nphases: 1/5 1/5 7/10 7/10\n")
+    code, out, _ = run_cli(
+        capsys, "schrodinger", "matrix", "--d", "8,8", "--elem", "3/8;(3,5);(6,1)", "--json"
+    )
+    assert (code, out) == (0, GOLDEN_SCHRODINGER_8x8 + "\n")
+
+
+def test_heisenberg_commutator_large_type(capsys):
+    code, out, _ = run_cli(
+        capsys, "heisenberg", "commutator", "--d", "100000000000,100000000000",
+        "--a", "0;(1,2);(3,4)", "--b", "1/7;(5,6);(7,8)",
+    )
+    assert (code, out) == (0, "6249999999/6250000000\n")
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,11 @@ from hktheta.finabgrp import (
     pairing_to_dict,
     standard_kum_pairing,
     standard_og6_pairing,
-    symplectic_pairing,
     tensor_pairing,
     zero_pairing,
 )
 from hktheta.finabgrp import _factors_from_order_counts, _image_closure
+from hk_helpers import symplectic_pairing
 
 # ---------------------------------------------------------------------------
 # Q/Z
@@ -93,14 +93,14 @@ def test_qmodz_order(a):
 def test_group_basics():
     g = FinAbGroup((2, 4))
     assert g.rank == 2 and g.order == 8 and g.exponent == 4
-    assert g.zero().is_zero()
+    assert g.zero().coords == (0, 0)
     assert g.gen(0).coords == (1, 0)
     assert g.element((3, 7)).coords == (1, 3)
-    assert (g.gen(0) + g.gen(0)).is_zero()
-    assert (g.gen(1) - g.gen(1)).is_zero()
+    assert (g.gen(0) + g.gen(0)).coords == (0, 0)
+    assert (g.gen(1) - g.gen(1)).coords == (0, 0)
     assert (-g.gen(1)).coords == (0, 3)
     assert (3 * g.gen(1)).coords == (0, 3)
-    assert len(list(g.elements())) == 8
+    assert len(list(g.coord_tuples())) == 8
 
 
 def test_group_validation():
@@ -221,7 +221,7 @@ def test_e_matrix_columns_are_characters():
     g = p.group
     o = g.orders
     for j in range(g.rank):
-        for a in g.elements():
+        for a in map(g.element, g.coord_tuples()):
             lhs = eval_pairing(p, g.gen(j), a)
             rhs = sum(
                 (Fraction(m[i][j] * a.coords[i], o[i]) for i in range(g.rank)),
@@ -322,7 +322,7 @@ def _radical_by_enumeration(p):
     g = p.group
     gens = [g.gen(j) for j in range(g.rank)]
     counts = Counter()
-    for a in g.elements():
+    for a in map(g.element, g.coord_tuples()):
         if all(eval_pairing(p, a, x).is_zero() for x in gens):
             counts[math.lcm(*(o // math.gcd(c, o) for c, o in zip(a.coords, g.orders)))] += 1
     return AbGroupStructure(_factors_from_order_counts(counts))
@@ -468,7 +468,7 @@ def _eval_by_fractions(p, a, b):
 def test_eval_pairing_matches_fraction_sum_mixed_orders(orders):
     p = _densest_pairing(orders)
     g = p.group
-    for a in g.elements():
+    for a in map(g.element, g.coord_tuples()):
         for b in (g.gen(0), -g.gen(g.rank - 1), g.element(range(1, g.rank + 1))):
             assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
 

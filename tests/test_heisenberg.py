@@ -8,6 +8,7 @@ import pytest
 
 from hktheta.finabgrp import (
     FinAbGroup,
+    GroupElement,
     QmodZ,
     brute_cokernel,
     is_nondegenerate,
@@ -39,7 +40,7 @@ def h_identity(d):
 
 
 def gpm_identity(dim):
-    return GenPermMatrix(dim, tuple(range(dim)), (QmodZ(0),) * dim)
+    return GenPermMatrix(dim, tuple(range(dim)), (0,) * dim)
 
 
 def random_heis(rng, d, scalar_den=48):
@@ -188,9 +189,9 @@ def test_heis_pairing_mixed_orders():
 
 def test_gpm_validation():
     with pytest.raises(ValueError):
-        GenPermMatrix(2, (0, 0), (QmodZ(0), QmodZ(0)))
+        GenPermMatrix(2, (0, 0), (0, 0))
     with pytest.raises(ValueError):
-        GenPermMatrix(2, (0, 1), (QmodZ(0),))
+        GenPermMatrix(2, (0, 1), (0,))
     with pytest.raises(ValueError):
         gpm_mul(gpm_identity(2), gpm_identity(3))
 
@@ -203,8 +204,8 @@ def test_gpm_algebra():
         def rand_gpm():
             perm = list(range(dim))
             rng.shuffle(perm)
-            phases = tuple(QmodZ(rng.randrange(12), 12) for _ in range(dim))
-            return GenPermMatrix(dim, tuple(perm), phases)
+            phases = tuple(rng.randrange(12) for _ in range(dim))
+            return GenPermMatrix(dim, tuple(perm), phases, 12)
 
         a, b, c = rand_gpm(), rand_gpm(), rand_gpm()
         ident = gpm_identity(dim)
@@ -215,12 +216,12 @@ def test_gpm_algebra():
 
 
 def test_gpm_scalar_phase():
-    s = GenPermMatrix(3, (0, 1, 2), (QmodZ(1, 3),) * 3)
+    s = GenPermMatrix(3, (0, 1, 2), (1,) * 3, 3)
     assert gpm_scalar_phase(s) == QmodZ(1, 3)
     with pytest.raises(ValueError):
-        gpm_scalar_phase(GenPermMatrix(2, (1, 0), (QmodZ(0), QmodZ(0))))
+        gpm_scalar_phase(GenPermMatrix(2, (1, 0), (0, 0)))
     with pytest.raises(ValueError):
-        gpm_scalar_phase(GenPermMatrix(2, (0, 1), (QmodZ(0), QmodZ(1, 2))))
+        gpm_scalar_phase(GenPermMatrix(2, (0, 1), (0, 1), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_schrodinger_translation_golden():
     # pure translation by the first generator: a cyclic shift, no phases
     mat = schrodinger_matrix(heis_elem((3, 3), QmodZ(0), (1, 0), (0, 0)))
     assert mat.perm == (2, 0, 1, 5, 3, 4, 8, 6, 7)
-    assert all(ph == QmodZ(0) for ph in mat.phases)
+    assert all(ph == 0 for ph in mat.phases) and mat.modulus == 1
     mat2 = schrodinger_matrix(heis_elem((2, 3), QmodZ(0), (1, 0), (0, 0)))
     assert mat2.perm == (1, 0, 3, 2, 5, 4)
 
@@ -247,13 +248,13 @@ def test_schrodinger_character_golden():
     # pure character: diagonal with phases <f, y> = y/4
     mat = schrodinger_matrix(heis_elem((4,), QmodZ(0), (0,), (1,)))
     assert mat.perm == (0, 1, 2, 3)
-    assert mat.phases == (QmodZ(0), QmodZ(1, 4), QmodZ(1, 2), QmodZ(3, 4))
+    assert (mat.phases, mat.modulus) == ((0, 1, 2, 3), 4)  # 0, 1/4, 1/2, 3/4
 
 
 def test_schrodinger_mixed_golden():
     mat = schrodinger_matrix(heis_elem((2,), QmodZ(1, 2), (1,), (1,)))
     assert mat.perm == (1, 0)
-    assert mat.phases == (QmodZ(0), QmodZ(1, 2))
+    assert (mat.phases, mat.modulus) == ((0, 1), 2)  # 0, 1/2
 
 
 @pytest.mark.parametrize("d", [(2,), (3,), (2, 2)], ids=str)
@@ -355,3 +356,140 @@ def test_schrodinger_multiplicity():
         schrodinger_multiplicity(10, (3, 3))
     with pytest.raises(ValueError):
         schrodinger_multiplicity(-9, (3, 3))
+
+
+# ---------------------------------------------------------------------------
+# the integer-phase route against an independent Fraction reference
+
+
+def fraction_schrodinger(d, t, x, f):
+    """Columns of rho(t, x, f) as (row, phase): column y -> row y - x with
+    phase t + sum f_i (y_i - x_i) / d_i, all in Fractions; d_1 varies fastest.
+    Shares no code with hktheta.heisenberg."""
+    dim = math.prod(d)
+    perm, phases = [], []
+    for col in range(dim):
+        y, rest = [], col
+        for di in d:
+            rest, c = divmod(rest, di)
+            y.append(c)
+        w = [(yi - xi) % di for yi, xi, di in zip(y, x, d)]
+        row = 0
+        for c, di in zip(reversed(w), reversed(d)):
+            row = row * di + c
+        perm.append(row)
+        phases.append((t + sum(Fraction(fi * wi, di) for fi, wi, di in zip(f, w, d))) % 1)
+    return tuple(perm), tuple(phases)
+
+
+def random_type(rng, max_dim=64):
+    while True:
+        d = tuple(rng.randrange(2, 9) for _ in range(rng.randrange(1, 4)))
+        if math.prod(d) <= max_dim:
+            return d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_schrodinger_matches_fraction_reference(seed):
+    rng = random.Random(f"fraction-reference-{seed}")
+    cases = [((2, 2), Fraction(1, 5)), ((3,), Fraction(1, 9)), ((8, 8), Fraction(3, 7))]
+    for _ in range(40):
+        d = random_type(rng)
+        den = rng.choice([math.lcm(*d), rng.randrange(1, 30)])
+        cases.append((d, Fraction(rng.randrange(den), den)))
+    for d, t in cases:
+        x = tuple(rng.randrange(di) for di in d)
+        f = tuple(rng.randrange(di) for di in d)
+        mat = schrodinger_matrix(heis_elem(d, QmodZ(t.numerator, t.denominator), x, f))
+        perm, phases = fraction_schrodinger(d, t, x, f)
+        assert mat.perm == perm
+        assert tuple(Fraction(p, mat.modulus) for p in mat.phases) == phases
+        # the modulus is the least common denominator of the phases
+        assert mat.modulus == math.lcm(*(ph.denominator for ph in phases))
+
+
+def test_gpm_equality_is_matrix_equality():
+    # the same matrix, handed over with three different moduli
+    perm = (1, 0, 3, 2)
+    a = GenPermMatrix(4, perm, (2, 2, 7, 7), 10)
+    assert a == GenPermMatrix(4, perm, (4, 4, 14, 14), 20) == GenPermMatrix(4, perm, (-8, 2, 7, -3), 10)
+    assert (a.phases, a.modulus) == ((2, 2, 7, 7), 10)
+    assert a == schrodinger_matrix(heis_elem((2, 2), QmodZ(1, 5), (1, 0), (0, 1)))
+    assert a != GenPermMatrix(4, perm, (2, 2, 7, 7), 20)
+    assert GenPermMatrix(2, (0, 1), (3, 3), 3) == gpm_identity(2)
+    with pytest.raises(ValueError):
+        GenPermMatrix(2, (0, 1), (0, 0), 0)
+
+
+@pytest.mark.parametrize("d", [(2, 2), (3,), (8, 8), (2, 3, 4)], ids=str)
+def test_matrix_times_inverse_is_identity(d):
+    rng = random.Random(f"inverse-{d}")
+    dim = math.prod(d)
+    for den in (1, 5, 9, math.lcm(*d), 7 * math.lcm(*d)):
+        a = random_heis(rng, d, scalar_den=den)
+        m = schrodinger_matrix(a)
+        assert gpm_mul(m, gpm_inv(m)) == gpm_identity(dim) == gpm_mul(gpm_inv(m), m)
+        assert schrodinger_matrix(h_inv(a)) == gpm_inv(m)
+
+
+def test_routes_with_different_moduli_agree():
+    # scalars 1/5 and 4/5 give matrices mod 10 whose product lives mod 2
+    d = (2, 2)
+    a = heis_elem(d, QmodZ(1, 5), (1, 0), (0, 1))
+    b = heis_elem(d, QmodZ(4, 5), (0, 1), (1, 1))
+    ma, mb = schrodinger_matrix(a), schrodinger_matrix(b)
+    assert (ma.modulus, mb.modulus) == (10, 10)
+    ab = gpm_mul(ma, mb)
+    assert ab == schrodinger_matrix(h_mul(a, b))
+    assert ab.modulus == 2
+    # a translation-only matrix (modulus 1) times a character matrix (modulus 8)
+    t = schrodinger_matrix(heis_elem((8, 8), QmodZ(0), (3, 5), (0, 0)))
+    c = schrodinger_matrix(heis_elem((8, 8), QmodZ(0), (0, 0), (1, 2)))
+    assert (t.modulus, c.modulus) == (1, 8)
+    tc = heis_elem((8, 8), QmodZ(0), (3, 5), (0, 0)), heis_elem((8, 8), QmodZ(0), (0, 0), (1, 2))
+    assert gpm_mul(t, c) == schrodinger_matrix(h_mul(*tc))
+
+
+# ---------------------------------------------------------------------------
+# object churn: the integer routes build no per-entry phase or group objects
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts QmodZ, GroupElement and Fraction constructions while active."""
+    counts = {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+
+    def counting(cls, name, method):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, method.__name__, wrapped)
+
+    counting(QmodZ, "QmodZ", QmodZ.__post_init__)
+    counting(GroupElement, "GroupElement", GroupElement.__post_init__)
+    counting(Fraction, "Fraction", Fraction.__new__)
+    return counts
+
+
+def _churn(counts, fn, *args):
+    before = dict(counts)
+    fn(*args)
+    return {k: counts[k] - before[k] for k in counts}
+
+
+def test_no_per_entry_objects_in_matrix_routes(constructions):
+    small = heis_elem((2,), QmodZ(1, 2), (1,), (1,))
+    large = heis_elem((8, 8), QmodZ(3, 8), (3, 5), (6, 1))
+    at_2 = _churn(constructions, schrodinger_matrix, small)
+    at_64 = _churn(constructions, schrodinger_matrix, large)
+    assert at_64 == at_2 == {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+    m2, m64 = schrodinger_matrix(small), schrodinger_matrix(large)
+    assert _churn(constructions, gpm_mul, m64, gpm_inv(m64)) == _churn(
+        constructions, gpm_mul, m2, gpm_inv(m2)
+    ) == {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+    # the group law builds one scalar and two group elements, whatever the type
+    big_a = heis_elem((8, 8, 8), QmodZ(1, 9), (1, 2, 3), (4, 5, 6))
+    big_b = heis_elem((8, 8, 8), QmodZ(2, 7), (7, 0, 1), (2, 2, 2))
+    assert _churn(constructions, h_mul, big_a, big_b) == {"QmodZ": 1, "GroupElement": 2, "Fraction": 0}
+    assert _churn(constructions, h_commutator, big_a, big_b) == {"QmodZ": 1, "GroupElement": 0, "Fraction": 0}

@@ -1,10 +1,13 @@
 """Cokernel formulas, Heisenberg criteria, section counts, reports."""
 
+import math
+
 import pytest
 
 from hktheta.arith import divisors
 from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
+    MAX_H0_BITS,
     Family,
     LineBundleInvariants,
     div0_kum,
@@ -206,6 +209,33 @@ def test_riemann_roch_golden():
     assert riemann_roch(og6_inv(1, 4)) == 40
     assert riemann_roch(rank4_inv(10)) == 9
     assert riemann_roch(rank4_inv(42)) == 30
+
+
+# (the class for parameter e, its count by math.comb, an e whose count is too big)
+SECTION_FAMILIES = {
+    "kum-n2": (lambda e: kum_inv(2, 1, 2 * e), lambda e: 3 * math.comb(e + 2, 2),
+               2 ** (MAX_H0_BITS // 2 + 2)),
+    "kum-n-equals-e": (lambda e: kum_inv(e, 1, 2 * e), lambda e: (e + 1) * math.comb(2 * e, e),
+                       MAX_H0_BITS),
+    "og6": (lambda e: og6_inv(1, 2 * e), lambda e: 4 * math.comb(e + 3, 3),
+            2 ** (MAX_H0_BITS // 3 + 3)),
+    "rank4": (lambda a: rank4_inv(16 * a - 6), lambda a: 3 * math.comb(a + 2, 2),
+              2 ** (MAX_H0_BITS // 2 + 2)),
+}
+
+
+@pytest.mark.parametrize("family", SECTION_FAMILIES)
+def test_section_count_limit_is_exact(family):
+    inv, count, hi = SECTION_FAMILIES[family]
+    lo = 2
+    assert count(lo).bit_length() <= MAX_H0_BITS < count(hi).bit_length()
+    while hi - lo > 1:  # bisect for the last parameter whose count fits
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if count(mid).bit_length() <= MAX_H0_BITS else (lo, mid)
+    assert riemann_roch(inv(lo)) == count(lo)
+    for e in (hi, hi + 1, 2 * hi):
+        with pytest.raises(ValueError, match=f"MAX_H0_BITS = {MAX_H0_BITS} bits"):
+            riemann_roch(inv(e))
 
 
 def test_riemann_roch_needs_positive_square():
