@@ -201,8 +201,8 @@ def _cmd_heisenberg(args) -> tuple[dict, list[str]]:
 def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
     elem = _parse_heis_elem(args.d, args.elem)
     mat = schrodinger_matrix(elem)
-    text = {p: str(QmodZ(p, mat.modulus)) for p in set(mat.phases)}
-    record = {"dim": mat.dim, "perm": list(mat.perm), "phases": [text[p] for p in mat.phases]}
+    phases = [str(QmodZ(p, mat.modulus)) for p in mat.phases]
+    record = {"dim": mat.dim, "perm": list(mat.perm), "phases": phases}
     lines = [f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
              "phases: " + " ".join(record["phases"])]
     return record, lines

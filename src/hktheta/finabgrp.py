@@ -162,28 +162,6 @@ class GroupElement:
         reduced = tuple(int(c) % o for c, o in zip(self.coords, self.group.orders))
         object.__setattr__(self, "coords", reduced)
 
-    def _check(self, other):
-        if self.group != other.group:
-            raise ValueError("elements belong to different groups")
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupElement(self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupElement(self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coords))
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return GroupElement(self.group, tuple(k * a for a in self.coords))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class AbGroupStructure:

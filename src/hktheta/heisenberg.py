@@ -70,8 +70,8 @@ class HeisElem:
 
 
 def _char_units(f, x, orders, n: int) -> int:
-    # <f, x> in units of 1/n, for n a multiple of every order
-    return sum([fi * xi * (n // di) for fi, xi, di in zip(f, x, orders)]) % n
+    # <f, x> in units of 1/n, for n a multiple of every order; not reduced mod n
+    return sum([fi * xi * (n // di) for fi, xi, di in zip(f, x, orders)])
 
 
 def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
@@ -92,45 +92,31 @@ def _check_same_type(a: HeisElem, b: HeisElem):
         raise ValueError("elements have different types d")
 
 
-def _units(a: HeisElem, m: int) -> tuple:
-    return a.scalar.num * (m // a.scalar.den), a.x.coords, a.f.coords
-
-
-# The group law and inverse on int triples (t, x, f), t in units of 1/m; m is a
-# multiple of every d_i, and nothing is reduced until the result leaves.
-def _law(u, v, d, m: int) -> tuple:
-    (t, x, f), (s, y, g) = u, v
-    return t + s + _char_units(g, x, d, m), tuple(map(add, x, y)), tuple(map(add, f, g))
-
-
-def _law_inv(u, d, m: int) -> tuple:
-    t, x, f = u
-    return _char_units(f, x, d, m) - t, tuple(map(neg, x)), tuple(map(neg, f))
-
-
 def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     """(t,x,f)(s,y,g) = (t + s + <g,x>, x+y, f+g)."""
     _check_same_type(a, b)
-    m = math.lcm(a.x.group.exponent, a.scalar.den, b.scalar.den)
-    t, x, f = _law(_units(a, m), _units(b, m), a.d, m)
-    return HeisElem(QmodZ(t, m), GroupElement(a.x.group, x), GroupElement(a.x.group, f))
+    j, t, s = a.x.group, a.scalar, b.scalar
+    m = math.lcm(*j.orders, t.den, s.den)
+    phase = t.num * (m // t.den) + s.num * (m // s.den)
+    phase += _char_units(b.f.coords, a.x.coords, j.orders, m)
+    return HeisElem(QmodZ(phase, m), GroupElement(j, tuple(map(add, a.x.coords, b.x.coords))),
+                    GroupElement(j, tuple(map(add, a.f.coords, b.f.coords))))
 
 
 def h_inv(a: HeisElem) -> HeisElem:
-    m = math.lcm(a.x.group.exponent, a.scalar.den)
-    t, x, f = _law_inv(_units(a, m), a.d, m)
-    return HeisElem(QmodZ(t, m), GroupElement(a.x.group, x), GroupElement(a.x.group, f))
+    j, t = a.x.group, a.scalar
+    m = math.lcm(*j.orders, t.den)
+    phase = _char_units(a.f.coords, a.x.coords, j.orders, m) - t.num * (m // t.den)
+    return HeisElem(QmodZ(phase, m), GroupElement(j, tuple(map(neg, a.x.coords))),
+                    GroupElement(j, tuple(map(neg, a.f.coords))))
 
 
 def h_commutator(a: HeisElem, b: HeisElem) -> QmodZ:
-    """Central scalar of a b a^-1 b^-1, computed literally from the group law."""
-    _check_same_type(a, b)
-    d, m = a.d, math.lcm(a.x.group.exponent, a.scalar.den, b.scalar.den)
-    ua, ub = _units(a, m), _units(b, m)
-    t, x, f = _law(_law(ua, ub, d, m), _law(_law_inv(ua, d, m), _law_inv(ub, d, m), d, m), d, m)
-    if any(c % di for c, di in zip(x + f, d + d)):
+    """Central scalar of a b a^-1 b^-1 = (ab)(ba)^-1, computed literally from the group law."""
+    c = h_mul(h_mul(a, b), h_inv(h_mul(b, a)))
+    if any(c.x.coords) or any(c.f.coords):
         raise AssertionError("commutator of lifts must be central")
-    return QmodZ(t, m)
+    return c.scalar
 
 
 def heis_pairing(d) -> Pairing:
@@ -141,11 +127,21 @@ def heis_pairing(d) -> Pairing:
     form assumed.
     """
     d = tuple(int(di) for di in d)
+    g = len(d)
+    group = FinAbGroup(d + d)
     j = FinAbGroup(d)
-    lifts = [HeisElem(QmodZ(0), j.gen(i), j.zero()) for i in range(len(d))]
-    lifts += [HeisElem(QmodZ(0), j.zero(), j.gen(i)) for i in range(len(d))]
-    matrix = tuple(tuple(h_commutator(a, b) for b in lifts) for a in lifts)
-    return Pairing(FinAbGroup(d + d), matrix)
+
+    def lift(i: int) -> HeisElem:
+        if i < g:
+            return HeisElem(QmodZ(0), j.gen(i), j.zero())
+        return HeisElem(QmodZ(0), j.zero(), j.gen(i - g))
+
+    lifts = [lift(i) for i in range(2 * g)]
+    matrix = tuple(
+        tuple(h_commutator(lifts[i], lifts[j2]) for j2 in range(2 * g))
+        for i in range(2 * g)
+    )
+    return Pairing(group, matrix)
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ class GenPermMatrix:
     dim: int
     perm: tuple[int, ...]
     phases: tuple[int, ...]
-    modulus: int = 1
+    modulus: int
 
     def __post_init__(self):
         if len(self.perm) != self.dim or len(self.phases) != self.dim:

@@ -96,10 +96,6 @@ def test_group_basics():
     assert g.zero().coords == (0, 0)
     assert g.gen(0).coords == (1, 0)
     assert g.element((3, 7)).coords == (1, 3)
-    assert (g.gen(0) + g.gen(0)).coords == (0, 0)
-    assert (g.gen(1) - g.gen(1)).coords == (0, 0)
-    assert (-g.gen(1)).coords == (0, 3)
-    assert (3 * g.gen(1)).coords == (0, 3)
     assert len(list(g.coord_tuples())) == 8
 
 
@@ -108,11 +104,8 @@ def test_group_validation():
         FinAbGroup(())
     with pytest.raises(ValueError):
         FinAbGroup((1, 2))
-    g2, g3 = FinAbGroup((2,)), FinAbGroup((3,))
     with pytest.raises(ValueError):
-        g2.gen(0) + g3.gen(0)
-    with pytest.raises(ValueError):
-        g2.element((0, 0))
+        FinAbGroup((2,)).element((0, 0))
 
 
 def test_from_cyclic_orders_golden():
@@ -180,8 +173,8 @@ def test_eval_pairing_golden():
     assert eval_pairing(p, a1, b1) == QmodZ(1, 3)
     assert eval_pairing(p, b1, a1) == QmodZ(2, 3)
     assert eval_pairing(p, a1, a2) == QmodZ(0)
-    assert eval_pairing(p, 2 * a1, b1) == QmodZ(2, 3)
-    assert eval_pairing(p, a1 + a2, b1 + b2) == QmodZ(2, 3)
+    assert eval_pairing(p, g.element((2, 0, 0, 0)), b1) == QmodZ(2, 3)
+    assert eval_pairing(p, g.element((1, 0, 1, 0)), g.element((0, 1, 0, 1))) == QmodZ(2, 3)
     with pytest.raises(ValueError):
         eval_pairing(p, a1, FinAbGroup((3,)).gen(0))
 
@@ -199,8 +192,9 @@ def test_eval_pairing_is_skew_biadditive(data):
     c = data.draw(random_elements(p.group))
     assert eval_pairing(p, a, a).is_zero()
     assert eval_pairing(p, a, b) == -eval_pairing(p, b, a)
-    assert eval_pairing(p, a + b, c) == eval_pairing(p, a, c) + eval_pairing(p, b, c)
-    assert eval_pairing(p, a, b + c) == eval_pairing(p, a, b) + eval_pairing(p, a, c)
+    add = lambda u, v: p.group.element(tuple(map(sum, zip(u.coords, v.coords))))
+    assert eval_pairing(p, add(a, b), c) == eval_pairing(p, a, c) + eval_pairing(p, b, c)
+    assert eval_pairing(p, a, add(b, c)) == eval_pairing(p, a, b) + eval_pairing(p, a, c)
 
 
 def test_e_matrix_golden():
@@ -469,7 +463,8 @@ def test_eval_pairing_matches_fraction_sum_mixed_orders(orders):
     p = _densest_pairing(orders)
     g = p.group
     for a in map(g.element, g.coord_tuples()):
-        for b in (g.gen(0), -g.gen(g.rank - 1), g.element(range(1, g.rank + 1))):
+        for b in (g.gen(0), g.element((0,) * (g.rank - 1) + (-1,)),
+                  g.element(range(1, g.rank + 1))):
             assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
 
 

@@ -40,7 +40,7 @@ def h_identity(d):
 
 
 def gpm_identity(dim):
-    return GenPermMatrix(dim, tuple(range(dim)), (0,) * dim)
+    return GenPermMatrix(dim, tuple(range(dim)), (0,) * dim, 1)
 
 
 def random_heis(rng, d, scalar_den=48):
@@ -189,9 +189,9 @@ def test_heis_pairing_mixed_orders():
 
 def test_gpm_validation():
     with pytest.raises(ValueError):
-        GenPermMatrix(2, (0, 0), (0, 0))
+        GenPermMatrix(2, (0, 0), (0, 0), 1)
     with pytest.raises(ValueError):
-        GenPermMatrix(2, (0, 1), (0,))
+        GenPermMatrix(2, (0, 1), (0,), 1)
     with pytest.raises(ValueError):
         gpm_mul(gpm_identity(2), gpm_identity(3))
 
@@ -219,7 +219,7 @@ def test_gpm_scalar_phase():
     s = GenPermMatrix(3, (0, 1, 2), (1,) * 3, 3)
     assert gpm_scalar_phase(s) == QmodZ(1, 3)
     with pytest.raises(ValueError):
-        gpm_scalar_phase(GenPermMatrix(2, (1, 0), (0, 0)))
+        gpm_scalar_phase(GenPermMatrix(2, (1, 0), (0, 0), 1))
     with pytest.raises(ValueError):
         gpm_scalar_phase(GenPermMatrix(2, (0, 1), (0, 1), 2))
 
@@ -488,8 +488,13 @@ def test_no_per_entry_objects_in_matrix_routes(constructions):
     assert _churn(constructions, gpm_mul, m64, gpm_inv(m64)) == _churn(
         constructions, gpm_mul, m2, gpm_inv(m2)
     ) == {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
-    # the group law builds one scalar and two group elements, whatever the type
+    # each product or inverse builds one scalar and two group elements, whatever
+    # the type; the commutator (ab)(ba)^-1 is three products and one inverse
     big_a = heis_elem((8, 8, 8), QmodZ(1, 9), (1, 2, 3), (4, 5, 6))
     big_b = heis_elem((8, 8, 8), QmodZ(2, 7), (7, 0, 1), (2, 2, 2))
-    assert _churn(constructions, h_mul, big_a, big_b) == {"QmodZ": 1, "GroupElement": 2, "Fraction": 0}
-    assert _churn(constructions, h_commutator, big_a, big_b) == {"QmodZ": 1, "GroupElement": 0, "Fraction": 0}
+    assert _churn(constructions, h_mul, big_a, big_b) == {
+        "QmodZ": 1, "GroupElement": 2, "Fraction": 0
+    }
+    assert _churn(constructions, h_commutator, big_a, big_b) == {
+        "QmodZ": 4, "GroupElement": 8, "Fraction": 0
+    }
