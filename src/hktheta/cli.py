@@ -4,7 +4,7 @@ Subcommands mirror the library layers: `kummer`, `og6`, and `rank4` emit
 theta reports; `lattice` answers pairing/divisibility/orbit questions about
 the built-in lattices; `pairing` analyzes a pairing loaded from a JSON file;
 `heisenberg` and `schrodinger` expose the group computations; `sweep` runs
-the property battery and reports each sweep's pass/fail counts and seconds.
+the property battery (one sweep with --only), reporting counts and seconds.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
@@ -47,7 +47,7 @@ from .lattices import (
     kum_orbit_split,
     og6_class,
 )
-from .sweeps import SweepResult, run_all
+from .sweeps import SWEEPS, SweepResult, run_all
 
 __all__ = ["main"]
 
@@ -209,7 +209,8 @@ def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_sweep(args) -> tuple[list, list[str]]:
-    results = run_all()
+    results = run_all() if args.only is None else [
+        next(s for s in SWEEPS if s.__name__ == f"sweep_{args.only}")()]
     record = [asdict(r) for r in results]
     total = SweepResult("total", sum(r.passed for r in results),
                         sum(r.failed for r in results), sum(r.seconds for r in results))
@@ -281,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", required=True, help="type, e.g. '3,3'")
     p.add_argument("--elem", required=True, help="element 't;(x1,..);(f1,..)'")
 
-    add("sweep", _cmd_sweep, "run the property suites and report pass/fail counts")
+    p = add("sweep", _cmd_sweep, "run the property suites and report pass/fail counts")
+    p.add_argument("--only", metavar="NAME", help="run one sweep, named without 'sweep_'",
+                   choices=[s.__name__.removeprefix("sweep_") for s in SWEEPS])
     return parser
 
 

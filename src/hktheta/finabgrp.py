@@ -12,11 +12,12 @@ Its kernel, the radical, comes from the same Smith form by duality: for a
 skew pairing E^ = -E, so ker E = (coker E)^, which is isomorphic to coker E.
 The tests check the radical against a literal enumeration of the kernel.
 `brute_cokernel` computes the cokernel independently by enumeration: it
-builds the image of E as the subgroup generated by the columns of the
-generator matrix, then counts the cosets of each order with a counting
-lemma instead of visiting every element of Ghat.  The two cokernel routes
-share no code past the generator matrix, so each serves as an oracle for
-the other.  Invariant factors are normalised by gcd and lcm, not factoring.
+builds the image of E as <c_1> + ... + <c_r> for the columns c_j of the
+generator matrix, one cyclic extension at a time so each element is built
+once, then counts the cosets of each order with a counting lemma instead of
+visiting every element of Ghat.  The two cokernel routes share no code
+past the generator matrix, so each serves as an oracle for the other.
+Invariant factors are normalised by gcd and lcm, not factoring.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 
@@ -219,6 +220,8 @@ class Pairing:
 
     group: FinAbGroup
     matrix: tuple[tuple[QmodZ, ...], ...]
+    # matrix in integer units of 1/exponent, filled in once validated
+    _units: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.group.rank
@@ -239,19 +242,15 @@ class Pairing:
                         f"entry {mat[i][j]} at ({i},{j}) is incompatible with generator orders"
                     )
         object.__setattr__(self, "matrix", mat)
+        n = self.group.exponent
+        object.__setattr__(
+            self, "_units", tuple(tuple(q.num * (n // q.den) for q in row) for row in mat))
 
 
 def _pairing_units(pairing: Pairing, a_coords, b_coords) -> int:
     # sum_{i,j} a_i b_j e(gen_i, gen_j) as an integer in units of 1/exponent
-    n = pairing.group.exponent
-    total = 0
-    for ai, row in zip(a_coords, pairing.matrix):
-        if ai == 0:
-            continue
-        for bj, q in zip(b_coords, row):
-            if bj and q.num:
-                total += ai * bj * q.num * (n // q.den)
-    return total
+    return sum(ai * sum(map(operator.mul, b_coords, row))
+               for ai, row in zip(a_coords, pairing._units) if ai)
 
 
 def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
@@ -270,17 +269,12 @@ def e_matrix(pairing: Pairing) -> tuple[tuple[int, ...], ...]:
 
     Column j is the character e(gen_j, -); row i is written in units of
     1/orders[i] and reduced mod orders[i], so Ghat = Z^r / diag(orders).
+    An entry u/N in [0, 1), N the exponent, with denominator dividing
+    orders[i], is u * orders[i] / N units of 1/orders[i], already reduced.
     """
-    o = pairing.group.orders
-    r = pairing.group.rank
-    rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            q = pairing.matrix[j][i]
-            row.append((o[i] // q.den) * q.num % o[i])
-        rows.append(tuple(row))
-    return tuple(rows)
+    n = pairing.group.exponent
+    return tuple(tuple(u * oi // n for u in col)
+                 for oi, col in zip(pairing.group.orders, zip(*pairing._units)))
 
 
 def pairing_cokernel(pairing: Pairing) -> AbGroupStructure:
@@ -366,34 +360,34 @@ def _factors_from_order_counts(counts: dict[int, int]) -> tuple[int, ...]:
 
 
 def _image_closure(m, orders) -> set[tuple[int, ...]]:
-    # im(E) as the closure of {0} under adding the nonzero columns of m
-    r = len(orders)
-    zero = (0,) * r
-    cols = {tuple(m[i][j] for i in range(r)) for j in range(r)} - {zero}
-    image = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for c in cols:
-                z = tuple(map(operator.mod, map(operator.add, y, c), orders))
-                if z not in image:
-                    image.add(z)
-                    nxt.append(z)
-        frontier = nxt
+    # im(E) = <c_1> + ... + <c_r> over the columns c of m, one column at a time:
+    # with k the least k >= 1 such that k*c lies in H, H + <c> is the disjoint
+    # union of the translates H + t*c for 0 <= t < k, so no element is built twice
+    image = {(0,) * len(orders)}
+    for c in zip(*m):
+        shifts = []
+        tc = c
+        while tc not in image:
+            shifts.append(tc)
+            tc = tuple(map(operator.mod, map(operator.add, tc, c), orders))
+        base = tuple(image)
+        for tc in shifts:
+            image.update(tuple(map(operator.mod, map(operator.add, y, tc), orders)) for y in base)
     return image
 
 
 def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     """Cokernel by enumeration; independent of the Smith-form route.
 
-    Enumerates the image H = im(E) inside Ghat as the closure of {0} under
-    adding the columns of e_matrix.  For k | exponent, the cosets of Ghat/H
+    Enumerates the image H = im(E) inside Ghat by cyclic extension, one
+    column c of e_matrix at a time: with k the least k >= 1 such that k*c
+    lies in H, H + <c> is the disjoint union of H + t*c for 0 <= t < k, so
+    each element is built once.  For k | exponent, the cosets of Ghat/H
     whose order divides k number |Ghat[k]| * |H & k*Ghat| / |H|, where
     |Ghat[k]| = prod gcd(k, o_i) and y lies in k*Ghat iff gcd(k, o_i) | y_i
     for every i; subtracting the counts of the proper divisors of k gives
-    the cosets of order exactly k.  The invariant factors of the quotient
-    are recovered from those order counts, prime by prime.
+    the cosets of order exactly k, from which the invariant factors of the
+    quotient are recovered prime by prime.
     """
     g = pairing.group
     if g.order > bound:

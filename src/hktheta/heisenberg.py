@@ -36,7 +36,6 @@ from .finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
 __all__ = [
     "HeisElem",
     "GenPermMatrix",
-    "character_eval",
     "heis_elem",
     "h_mul",
     "h_inv",
@@ -72,14 +71,6 @@ class HeisElem:
 def _char_units(f, x, orders, n: int) -> int:
     # <f, x> in units of 1/n, for n a multiple of every order; not reduced mod n
     return sum([fi * xi * (n // di) for fi, xi, di in zip(f, x, orders)])
-
-
-def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
-    """<f, x> = sum f_i x_i / d_i in Q/Z: the character f evaluated at x."""
-    if f.group != x.group:
-        raise ValueError("character and argument must share the type d")
-    n = f.group.exponent
-    return QmodZ(_char_units(f.coords, x.coords, f.group.orders, n), n)
 
 
 def heis_elem(d, scalar: QmodZ, x, f) -> HeisElem:

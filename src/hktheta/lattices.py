@@ -10,13 +10,15 @@ integer arithmetic: the pairing v^T.gram.w, the divisibility gcd, orbit
 classification by (square, divisibility, mod-8 residue), and the
 wall-divisor splitting of square -2(n+1), divisibility 2(n+1) classes into
 a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
+gram.v runs over the nonzero Gram entries only (one per row here), and a
+classification validates its vector once and reads div and q from one gram.v.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -48,6 +50,8 @@ class GramLattice:
     name: str
     gram: tuple[tuple[int, ...], ...]
     basis: tuple[str, ...]
+    # the nonzero entries (i, j, gram[i][j]), filled in once validated
+    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -61,6 +65,8 @@ class GramLattice:
         if integer_det([list(row) for row in gram]) == 0:
             raise ValueError("gram matrix must be nondegenerate")
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_entries", tuple(
+            (i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x))
 
     @property
     def rank(self) -> int:
@@ -110,41 +116,45 @@ def lambda_og6() -> GramLattice:
 
 
 def _as_vector(lat: GramLattice, v) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in v)
+    vec = tuple(map(int, v))
     if len(vec) != lat.rank:
         raise ValueError(f"vector length {len(vec)} does not match rank {lat.rank}")
     return vec
 
 
-def _gram_times(lat: GramLattice, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(map(operator.mul, row, v)) for row in lat.gram)
+def _gram_times(lat: GramLattice, v: tuple[int, ...]) -> list[int]:
+    gv = [0] * len(v)
+    for i, j, x in lat._entries:
+        gv[i] += x * v[j]
+    return gv
+
+
+def _primitive(v: tuple[int, ...]) -> bool:
+    if not any(v):
+        raise ValueError("primitivity is undefined for the zero vector")
+    return math.gcd(*v) == 1
 
 
 def bbf_pair(lat: GramLattice, v, w) -> int:
     """Symmetric bilinear pairing v^T.gram.w of two lattice vectors."""
     v = _as_vector(lat, v)
-    w = _as_vector(lat, w)
-    gw = _gram_times(lat, w)
-    return sum(a * b for a, b in zip(v, gw))
+    return sum(map(operator.mul, v, _gram_times(lat, _as_vector(lat, w))))
 
 
 def bbf_square(lat: GramLattice, v) -> int:
     """Square q(v) = bbf_pair(lat, v, v)."""
-    return bbf_pair(lat, v, v)
+    v = _as_vector(lat, v)
+    return sum(map(operator.mul, v, _gram_times(lat, v)))
 
 
 def divisibility(lat: GramLattice, v) -> int:
     """Nonnegative generator of the ideal of pairings of v: gcd of gram.v (0 for v=0)."""
-    v = _as_vector(lat, v)
-    return math.gcd(*_gram_times(lat, v))
+    return math.gcd(*_gram_times(lat, _as_vector(lat, v)))
 
 
 def is_primitive(lat: GramLattice, v) -> bool:
     """True iff the gcd of the coordinates is 1.  The zero vector is rejected."""
-    v = _as_vector(lat, v)
-    if not any(v):
-        raise ValueError("primitivity is undefined for the zero vector")
-    return math.gcd(*v) == 1
+    return _primitive(_as_vector(lat, v))
 
 
 class OG6Class(Enum):
@@ -166,13 +176,14 @@ def og6_class(v) -> OG6Class:
     primitive vectors, hence an internal assertion failure.
     """
     v = _as_vector(_OG6, v)
-    if not is_primitive(_OG6, v):
+    if not _primitive(v):
         raise ValueError("orbit class is defined for primitive vectors only")
-    div = divisibility(_OG6, v)
+    gv = _gram_times(_OG6, v)
+    div = math.gcd(*gv)
     if div == 1:
         return OG6Class.I
     if div == 2:
-        residue = bbf_square(_OG6, v) % 8
+        residue = sum(map(operator.mul, v, gv)) % 8
         if residue == 6:
             return OG6Class.II
         if residue == 4:
@@ -223,13 +234,14 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     """
     lat = _kum_lattice(n)
     v = _as_vector(lat, alpha)
-    if not is_primitive(lat, v):
+    if not _primitive(v):
         raise ValueError("orbit splitting requires a primitive vector")
     two_n1 = 2 * (n + 1)
-    sq = bbf_square(lat, v)
+    gv = _gram_times(lat, v)
+    sq = sum(map(operator.mul, v, gv))
     if sq != -two_n1:
         raise ValueError(f"square must be {-two_n1}, got {sq}")
-    div = divisibility(lat, v)
+    div = math.gcd(*gv)
     if div != two_n1:
         raise ValueError(f"divisibility must be {two_n1}, got {div}")
     x0 = v[6]

@@ -1,6 +1,8 @@
 """Helpers shared by several test modules; not collected as tests."""
 
-from hktheta.finabgrp import FinAbGroup, Pairing, QmodZ
+from fractions import Fraction
+
+from hktheta.finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
 
 
 def symplectic_pairing(m: int, npairs: int) -> Pairing:
@@ -17,3 +19,18 @@ def symplectic_pairing(m: int, npairs: int) -> Pairing:
         return QmodZ(1 if i < j else -1, m)
 
     return Pairing(group, tuple(tuple(entry(i, j) for j in range(r)) for i in range(r)))
+
+
+def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
+    """<f, x> = sum f_i x_i / d_i in Q/Z, summed as Fractions.
+
+    An oracle for the Heisenberg layer's integer phases: it shares no code
+    with them.
+    """
+    if f.group != x.group:
+        raise ValueError("character and argument must share the type d")
+    total = sum(
+        (Fraction(fi * xi, di) for fi, xi, di in zip(f.coords, x.coords, f.group.orders)),
+        Fraction(0),
+    )
+    return QmodZ(total.numerator, total.denominator)

@@ -269,6 +269,22 @@ def test_lattice_bad_inputs(capsys):
     assert code == 2  # unknown question is a usage error
 
 
+@pytest.mark.parametrize(
+    "question, lattice, vector, line",
+    [
+        ("class", "og6", "0,0,0,0,0,0,0,0", "primitivity is undefined for the zero vector"),
+        ("class", "og6", "2,2,0,0,0,0,0,0", "orbit class is defined for primitive vectors only"),
+        ("orbit", "kum:2", "0,0,0,0,0,0,0", "primitivity is undefined for the zero vector"),
+        ("orbit", "kum:2", "0,0,0,0,0,0,2", "orbit splitting requires a primitive vector"),
+    ],
+)
+def test_lattice_classification_error_lines(capsys, question, lattice, vector, line):
+    # og6_class and kum_orbit_split validate each vector once; the zero vector
+    # keeps its own line rather than reading as imprimitive (gcd 0 != 1)
+    code, out, err = run_cli(capsys, "lattice", question, "--lattice", lattice, "--vector", vector)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 # ---------------------------------------------------------------------------
 # pairing files
 
@@ -497,6 +513,35 @@ def test_sweep_reports_and_exit_codes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "--json")
     assert code == 1
     assert json.loads(out) == [{"name": "alpha", "passed": 9, "failed": 1, "seconds": 0.25}]
+
+
+def test_sweep_only_runs_one_sweep(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "sweep", "--only", "og6_model")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "og6 model agreement: passed=3 failed=0",
+        "total: passed=3 failed=0",
+    ]
+    assert all(re.fullmatch(r".* seconds=\d+\.\d\d", line) for line in lines)
+    rec = run_json(capsys, "sweep", "--only", "og6_model")
+    assert [(r["name"], r["passed"], r["failed"]) for r in rec] == [("og6 model agreement", 3, 0)]
+    # names drop the sweep_ prefix; anything else is a usage error
+    for name in ("sweep_og6_model", "og6", "no_such_sweep"):
+        code, out, err = run_cli(capsys, "sweep", "--only", name)
+        assert code == 2 and out == "" and "invalid choice" in err
+
+    def failing():
+        return SweepResult("planted", 1, 1, 0.25)
+
+    failing.__name__ = "sweep_og6_model"
+    monkeypatch.setattr("hktheta.cli.SWEEPS", (failing,))
+    code, out, _ = run_cli(capsys, "sweep", "--only", "og6_model")
+    assert code == 1
+    assert out.splitlines() == [
+        "planted: passed=1 failed=1 seconds=0.25",
+        "total: passed=1 failed=1 seconds=0.25",
+    ]
 
 
 def test_main_can_be_called_again_in_one_process(capsys, monkeypatch, kum_pairing_file):

@@ -6,14 +6,17 @@ The radical, which the library reads off the Smith-form cokernel by duality,
 is checked against a literal enumeration of ker E.
 """
 
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hktheta import finabgrp
 from hktheta.arith import divisors
 from hktheta.finabgrp import (
     AbGroupStructure,
@@ -363,6 +366,17 @@ def test_route_agreement_random(p):
     assert p.group.order % coker.order == 0
 
 
+@given(skew_pairings())
+def test_e_matrix_matches_the_pairing_entries(p):
+    # entry (i, j) is e(gen_j, gen_i) = num/den written in units of 1/orders[i]
+    m = e_matrix(p)
+    o, r = p.group.orders, p.group.rank
+    for i in range(r):
+        for j in range(r):
+            value = Fraction(p.matrix[j][i].num, p.matrix[j][i].den) * o[i]
+            assert value.denominator == 1 and m[i][j] == value.numerator % o[i]
+
+
 def _cokernel_by_whole_group(p):
     """Literal enumeration: the image from every a in G, then for every ghat in
     Ghat the least k | exponent with k*ghat in the image.  Returns the image
@@ -444,6 +458,53 @@ def test_brute_cokernel_counting_nondegenerate():
 @settings(max_examples=40)
 def test_brute_cokernel_matches_whole_group_enumeration(p):
     _assert_matches_whole_group(p)
+
+
+def test_brute_cokernel_column_meeting_earlier_span():
+    # on (Z/4)^3 the second column c = (2, 0, 1) of e_matrix has order 4, but
+    # 2c = (0, 0, 2) already lies in the span of the first column (0, 2, 1):
+    # the cyclic extension by c stops at k = 2 < ord(c)
+    g = FinAbGroup((4, 4, 4))
+    zero, half, quarter = QmodZ(0), QmodZ(1, 2), QmodZ(1, 4)
+    p = Pairing(g, ((zero, half, quarter), (half, zero, quarter), (-quarter, -quarter, zero)))
+    first, c, _ = zip(*e_matrix(p))
+    earlier = {tuple(t * x % o for x, o in zip(first, g.orders)) for t in range(4)}
+    multiples = [tuple(t * x % o for x, o in zip(c, g.orders)) for t in range(1, 5)]
+    k = next(t for t, y in enumerate(multiples, 1) if y in earlier)
+    order = next(t for t, y in enumerate(multiples, 1) if not any(y))
+    assert (k, order) == (2, 4)
+    image, coker = _assert_matches_whole_group(p)
+    assert len(image) == 16
+    assert coker == pairing_cokernel(p) == AbGroupStructure((4,))
+
+
+def test_brute_cokernel_reaches_no_smith_form():
+    # the dual-route principle: nothing brute_cokernel reaches names the snf module
+    src = Path(finabgrp.__file__).resolve().parent
+
+    def top_level(module):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        return {n.name: n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+    defs = top_level("finabgrp") | top_level("arith")
+    banned = {"snf"} | set(top_level("snf"))
+    reached, todo, found = set(), ["brute_cokernel"], []
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(defs[name]):
+            # a Name, an Attribute or a relative import's module
+            ident = getattr(node, "id", None) or getattr(node, "attr", None)
+            ident = ident or getattr(node, "module", None)
+            if ident in banned:
+                found.append(f"{name}: {ident}")
+            elif ident in defs:
+                todo.append(ident)
+    assert {"_image_closure", "_factors_from_order_counts", "e_matrix"} <= reached
+    assert "smith_normal_form" in banned
+    assert not found, f"brute_cokernel reaches the Smith form: {', '.join(found)}"
 
 
 def _eval_by_fractions(p, a, b):

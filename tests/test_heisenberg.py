@@ -17,7 +17,6 @@ from hktheta.finabgrp import (
 from hktheta.heisenberg import (
     GenPermMatrix,
     HeisElem,
-    character_eval,
     character_norm,
     cyclotomic_poly,
     gpm_inv,
@@ -31,6 +30,7 @@ from hktheta.heisenberg import (
     schrodinger_matrix,
     schrodinger_multiplicity,
 )
+from hk_helpers import character_eval
 
 TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 2, 2, 2)]
 
@@ -120,7 +120,7 @@ def test_commutator_golden():
 
 
 def closed_form(a, b):
-    # <g, x> - <f, y>; kept in the tests as a regression oracle only
+    # <g, x> - <f, y> summed as Fractions: an oracle sharing no code with the group law
     return character_eval(b.f, a.x) - character_eval(a.f, b.x)
 
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hktheta.lattices import (
@@ -110,6 +110,38 @@ def test_divisibility_divides_all_pairings(v, w):
         return
     assert bbf_pair(KUM2, v, w) % d == 0
     assert bbf_square(KUM2, v) % d == 0
+
+
+@st.composite
+def dense_lattices_with_vectors(draw):
+    """A nondegenerate symmetric Gram matrix of rank 1-8 whose off-diagonal
+    entries are all nonzero, in [-5, 5], and two vectors of that rank."""
+    r = draw(st.integers(1, 8))
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        gram[i][i] = draw(st.integers(-5, 5))
+        for j in range(i + 1, r):
+            gram[i][j] = gram[j][i] = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    assume(integer_det([row[:] for row in gram]) != 0)
+    lat = GramLattice("dense", tuple(map(tuple, gram)), tuple(f"b{i}" for i in range(r)))
+    vectors = st.tuples(*([st.integers(-9, 9)] * r))
+    return lat, draw(vectors), draw(vectors)
+
+
+@given(dense_lattices_with_vectors())
+def test_general_gram_matches_dense_reference(case):
+    # the built-in lattices have one nonzero per Gram row; here every row is full
+    lat, v, w = case
+    g, r = lat.gram, lat.rank
+
+    def dense_pair(x, y):
+        return sum(x[i] * g[i][j] * y[j] for i in range(r) for j in range(r))
+
+    assert bbf_pair(lat, v, w) == dense_pair(v, w)
+    assert bbf_pair(lat, w, v) == dense_pair(w, v)
+    assert bbf_square(lat, v) == dense_pair(v, v)
+    gv = [sum(g[i][j] * v[j] for j in range(r)) for i in range(r)]
+    assert divisibility(lat, v) == math.gcd(*gv)
 
 
 # ---------------------------------------------------------------------------
