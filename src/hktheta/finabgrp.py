@@ -3,7 +3,9 @@
 Groups are products of cyclic groups Z/(o_1) x ... x Z/(o_r).  Roots of
 unity are modeled additively: the class t in Q/Z stands for exp(2*pi*i*t),
 so a pairing "with values in roots of unity" is a skew biadditive map
-e : G x G -> Q/Z, stored by its values on pairs of generators.
+e : G x G -> Q/Z, stored by its values on pairs of generators.  Those values
+are also kept as integers in units of 1/exponent, and e(a, b) is summed
+over the nonzero ones only, as model pairings are mostly zero.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel is computed through exact Smith normal form over Z, taken modulo
@@ -94,20 +96,8 @@ class QmodZ:
             return NotImplemented
         return QmodZ(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other):
-        if not isinstance(other, QmodZ):
-            return NotImplemented
-        return QmodZ(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __neg__(self):
         return QmodZ(-self.num, self.den)
-
-    def __mul__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        return QmodZ(self.num * k, self.den)
-
-    __rmul__ = __mul__
 
     def __str__(self):
         return f"{self.num}/{self.den}"
@@ -216,12 +206,15 @@ class Pairing:
 
     matrix[i][j] = e(gen_i, gen_j).  Skewness forces a zero diagonal, and
     biadditivity forces matrix[i][j].den | gcd(orders[i], orders[j]).
+    Once validated, the matrix is also kept in integer units of 1/exponent,
+    whole (_units) and as its nonzero entries (i, j, u) (_entries), over
+    which eval_pairing sums; neither takes part in == or hash.
     """
 
     group: FinAbGroup
     matrix: tuple[tuple[QmodZ, ...], ...]
-    # matrix in integer units of 1/exponent, filled in once validated
     _units: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.group.rank
@@ -243,21 +236,27 @@ class Pairing:
                     )
         object.__setattr__(self, "matrix", mat)
         n = self.group.exponent
-        object.__setattr__(
-            self, "_units", tuple(tuple(q.num * (n // q.den) for q in row) for row in mat))
+        units = tuple(tuple(q.num * (n // q.den) for q in row) for row in mat)
+        object.__setattr__(self, "_units", units)
+        object.__setattr__(self, "_entries", tuple(
+            (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
 
 
 def _pairing_units(pairing: Pairing, a_coords, b_coords) -> int:
-    # sum_{i,j} a_i b_j e(gen_i, gen_j) as an integer in units of 1/exponent
-    return sum(ai * sum(map(operator.mul, b_coords, row))
-               for ai, row in zip(a_coords, pairing._units) if ai)
+    # sum_{i,j} a_i b_j e(gen_i, gen_j) as an integer in units of 1/exponent,
+    # over the nonzero entries only
+    total = 0
+    for i, j, u in pairing._entries:
+        total += a_coords[i] * b_coords[j] * u
+    return total
 
 
 def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
     """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z.
 
     Every entry's denominator divides n = exponent (Pairing enforces it), so
-    the sum is accumulated as an integer in units of 1/n.
+    the sum is accumulated as an integer in units of 1/n, over the nonzero
+    entries of the matrix only.
     """
     if a.group != pairing.group or b.group != pairing.group:
         raise ValueError("elements do not belong to the pairing's group")

@@ -203,8 +203,9 @@ def sweep_rank4_consistency() -> SweepResult:
 def sweep_tensor_additivity() -> SweepResult:
     """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
     n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
-    pairings, the 16 pairs of generators and 40 seeded random pairs.  Values
-    are compared as integers in units of 1/(n+1), the exponent of the group."""
+    pairings, the 16 pairs of generators and 40 seeded random pairs, whose
+    320 coordinates are drawn in one call.  Values are compared as integers
+    in units of 1/(n+1), the exponent of the group."""
     rng = random.Random(11)
     gens = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     gen_pairs = list(product(gens, repeat=2))
@@ -215,13 +216,8 @@ def sweep_tensor_additivity() -> SweepResult:
             models = [standard_kum_pairing(n, b1, b2) for b1, b2 in product(divs, repeat=2)]
             for p1, p2 in product(models, repeat=2):
                 t = tensor_pairing(p1, p2)
-                pairs = gen_pairs + [
-                    (
-                        tuple(rng.randrange(n + 1) for _ in range(4)),
-                        tuple(rng.randrange(n + 1) for _ in range(4)),
-                    )
-                    for _ in range(40)
-                ]
+                c = rng.choices(range(n + 1), k=320)
+                pairs = gen_pairs + [(c[k:k + 4], c[k + 4:k + 8]) for k in range(0, 320, 8)]
                 yield all(
                     (_pairing_units(t, a, b) - _pairing_units(p1, a, b)
                      - _pairing_units(p2, a, b)) % (n + 1) == 0
@@ -271,14 +267,15 @@ def sweep_orbit_split() -> SweepResult:
 
 def sweep_og6_trichotomy() -> SweepResult:
     """Random primitive vectors land in exactly one class, with div in {1,2}:
-    10,000 seeded vectors, coordinates in [-10, 10] before dividing by the gcd."""
+    10,000 seeded vectors, each drawn in one call, coordinates in [-10, 10]
+    before dividing by the gcd."""
     rng = random.Random(20260821)
     lat = lambda_og6()
 
     def outcomes():
         produced = 0
         while produced < 10_000:
-            v = [rng.randint(-10, 10) for _ in range(8)]
+            v = rng.choices(range(-10, 11), k=8)
             if not any(v):
                 continue
             g = math.gcd(*v)

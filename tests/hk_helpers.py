@@ -21,6 +21,16 @@ def symplectic_pairing(m: int, npairs: int) -> Pairing:
     return Pairing(group, tuple(tuple(entry(i, j) for j in range(r)) for i in range(r)))
 
 
+def as_fraction(q: QmodZ) -> Fraction:
+    """The representative num/den in [0, 1) of a class in Q/Z."""
+    return Fraction(q.num, q.den)
+
+
+def to_qmodz(x: Fraction) -> QmodZ:
+    """The class of a Fraction in Q/Z."""
+    return QmodZ(x.numerator, x.denominator)
+
+
 def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
     """<f, x> = sum f_i x_i / d_i in Q/Z, summed as Fractions.
 
@@ -33,4 +43,4 @@ def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
         (Fraction(fi * xi, di) for fi, xi, di in zip(f.coords, x.coords, f.group.orders)),
         Fraction(0),
     )
-    return QmodZ(total.numerator, total.denominator)
+    return to_qmodz(total)

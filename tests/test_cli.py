@@ -1,7 +1,10 @@
 """CLI surface: output shapes, JSON stability, exit codes."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import shlex
@@ -11,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import hktheta
 import hktheta.cli as cli
@@ -482,6 +487,96 @@ def test_heisenberg_commutator_large_type(capsys):
         "--a", "0;(1,2);(3,4)", "--b", "1/7;(5,6);(7,8)",
     )
     assert (code, out) == (0, "6249999999/6250000000\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed text input: any text gives exit 0, 1 or 2, never an escaping exception
+
+
+def _exit_code(argv):
+    # in-process like run_cli, but without capsys: hypothesis does not reset
+    # function-scoped fixtures between examples
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+_odd_ints = st.sampled_from([0, 1, -3, 10**30, -(10**18)])
+_junk = (st.text(max_size=16) | st.text(alphabet="0123456789,;()/- ", max_size=16)
+         | st.text(alphabet="0123456789,-+/ _e.", max_size=12))
+
+
+def _join(values):
+    return ",".join(map(str, values))
+
+
+@st.composite
+def _heis_argv(draw):
+    # well-formed text of matching lengths, now and then spoiled by an odd
+    # integer or free text, so parsing gets past the shape checks too
+    k = draw(st.integers(1, 3))
+    ints = st.integers(-20, 20)
+
+    def spoil(values):
+        if draw(st.integers(0, 5)) == 0:
+            values[draw(st.integers(0, len(values) - 1))] = draw(_odd_ints | _junk)
+        return values
+
+    def elem():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(_junk)
+        t = "/".join(map(str, spoil([draw(ints), draw(st.integers(1, 12))])))
+        x, f = (_join(spoil(draw(st.lists(ints, min_size=k, max_size=k)))) for _ in "xf")
+        return f"{t};({x});({f})"
+
+    d = _join(spoil(draw(st.lists(st.integers(2, 12), min_size=k, max_size=k))))
+    return ["heisenberg", "commutator", f"--d={d}", f"--a={elem()}", f"--b={elem()}"]
+
+
+@given(_heis_argv())
+def test_heisenberg_commutator_fuzzed_text(argv):
+    assert _exit_code(argv) in (0, 1, 2)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+_odd_entries = (
+    st.builds("{}/{}".format, st.integers(-13, 13), st.integers(-13, 13))
+    | st.sampled_from(["1/0", "1e3", "1/2/3", " 5 ", ""])
+    | _json_values
+)
+
+
+@st.composite
+def _pairing_docs(draw):
+    # a skew document, with odd orders and then odd entries planted in it
+    k = draw(st.integers(1, 4))
+    orders = draw(st.lists(st.integers(2, 12), min_size=k, max_size=k))
+    matrix = [["0/1"] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            den = math.gcd(orders[i], orders[j])
+            num = draw(st.integers(0, den - 1))
+            matrix[i][j], matrix[j][i] = f"{num}/{den}", f"{-num}/{den}"
+    for _ in range(draw(st.integers(0, 2))):
+        orders[draw(st.integers(0, k - 1))] = draw(
+            st.integers(-2, 13) | st.sampled_from([10**30, True, 2.0]) | _json_values)
+    for _ in range(draw(st.integers(0, 2))):
+        matrix[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(_odd_entries)
+    return draw(st.sampled_from([{"orders": orders, "matrix": matrix}, matrix, {"orders": orders}])
+                | _json_values)
+
+
+@given(_pairing_docs(), st.sampled_from(["cokernel", "radical", "nondeg"]))
+def test_pairing_fuzzed_documents(tmp_path_factory, doc, question):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-pairing.json"
+    path.write_text(json.dumps(doc))
+    assert _exit_code(["pairing", question, "--file", str(path)]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

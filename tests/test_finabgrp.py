@@ -8,6 +8,7 @@ is checked against a literal enumeration of ker E.
 
 import ast
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +39,7 @@ from hktheta.finabgrp import (
     zero_pairing,
 )
 from hktheta.finabgrp import _factors_from_order_counts, _image_closure
-from hk_helpers import symplectic_pairing
+from hk_helpers import as_fraction, symplectic_pairing, to_qmodz
 
 # ---------------------------------------------------------------------------
 # Q/Z
@@ -76,17 +77,18 @@ def test_qmodz_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + QmodZ(0) == a
     assert a + (-a) == QmodZ(0)
-    assert a - b == a + (-b)
-    assert 3 * a == a + a + a
-    assert 0 * a == QmodZ(0)
+    # against Fraction arithmetic, which shares no code with QmodZ
+    assert a + b == to_qmodz(as_fraction(a) + as_fraction(b))
+    assert a + (-b) == to_qmodz(as_fraction(a) - as_fraction(b))
+    assert a + a + a == to_qmodz(3 * as_fraction(a))
 
 
 @given(qmodz_values)
 def test_qmodz_order(a):
     assert a.order >= 1
-    assert (a.order * a).is_zero()
+    assert to_qmodz(a.order * as_fraction(a)).is_zero()
     for k in range(1, a.order):
-        assert not (k * a).is_zero()
+        assert not to_qmodz(k * as_fraction(a)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +339,8 @@ def test_route_agreement_constructible(name):
 
 
 @st.composite
-def skew_pairings(draw, max_order=4096):
-    rank = draw(st.integers(1, 4))
+def skew_pairings(draw, max_order=4096, max_rank=4):
+    rank = draw(st.integers(1, max_rank))
     orders = draw(
         st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=rank, max_size=rank)
     )
@@ -507,8 +509,9 @@ def test_brute_cokernel_reaches_no_smith_form():
     assert not found, f"brute_cokernel reaches the Smith form: {', '.join(found)}"
 
 
-def _eval_by_fractions(p, a, b):
-    total = sum(
+def _dense_sum(p, a, b):
+    # sum over every (i, j), zero entries included, as an unreduced Fraction
+    return sum(
         (
             Fraction(ai * bj * p.matrix[i][j].num, p.matrix[i][j].den)
             for i, ai in enumerate(a.coords)
@@ -516,7 +519,10 @@ def _eval_by_fractions(p, a, b):
         ),
         Fraction(0),
     )
-    return QmodZ(total.numerator, total.denominator)
+
+
+def _eval_by_fractions(p, a, b):
+    return to_qmodz(_dense_sum(p, a, b))
 
 
 @pytest.mark.parametrize("orders", [(2, 4, 8), (3, 6, 12), (2, 3, 4, 6)])
@@ -535,6 +541,49 @@ def test_eval_pairing_matches_fraction_sum_random(data):
     a = data.draw(random_elements(p.group))
     b = data.draw(random_elements(p.group))
     assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
+
+
+def _assert_sparse_matches_dense(p, pairs):
+    # _pairing_units sums only the nonzero entries; it must equal the dense
+    # sum exactly, not just mod 1, since each entry is num/den in [0, 1)
+    n = p.group.exponent
+    for a, b in pairs:
+        assert Fraction(finabgrp._pairing_units(p, a.coords, b.coords), n) == _dense_sum(p, a, b)
+        assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
+
+
+def _sample_pairs(group, rng, count=30):
+    gens = [group.gen(i) for i in range(group.rank)]
+    draw = lambda: group.element(rng.randrange(o) for o in group.orders)
+    return [(a, b) for a in gens for b in gens] + [(draw(), draw()) for _ in range(count)]
+
+
+@given(skew_pairings(max_order=12**6, max_rank=6), st.randoms(use_true_random=False))
+def test_sparse_evaluation_matches_dense_sum_random(p, rng):
+    assert len(p._entries) == sum(not q.is_zero() for row in p.matrix for q in row)
+    _assert_sparse_matches_dense(p, _sample_pairs(p.group, rng))
+
+
+def test_sparse_evaluation_matches_dense_sum_models():
+    rng = random.Random(5)
+    pairings = [zero_pairing(FinAbGroup((4, 6, 9)))]
+    pairings += [standard_kum_pairing(n, b1, b2) for n in range(2, 13)
+                 for b1 in divisors(n + 1) for b2 in divisors(n + 1)]
+    pairings += [standard_og6_pairing(case) for case in OG6PairingCase]
+    assert pairings[0]._entries == ()
+    for p in pairings:
+        _assert_sparse_matches_dense(p, _sample_pairs(p.group, rng))
+
+
+def test_entries_take_no_part_in_equality():
+    doc = pairing_to_dict(standard_kum_pairing(5, 2, 6))
+    p = pairing_from_dict(doc)
+    doc["matrix"][0][1] = "4/12"  # the same class as 2/6
+    q = pairing_from_dict(doc)
+    assert p == q and hash(p) == hash(q)
+    assert tensor_pairing(p, zero_pairing(p.group)) == p
+    object.__setattr__(q, "_entries", ())
+    assert p == q and hash(p) == hash(q)
 
 
 # ---------------------------------------------------------------------------

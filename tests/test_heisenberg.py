@@ -30,7 +30,7 @@ from hktheta.heisenberg import (
     schrodinger_matrix,
     schrodinger_multiplicity,
 )
-from hk_helpers import character_eval
+from hk_helpers import as_fraction, character_eval, to_qmodz
 
 TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 2, 2, 2)]
 
@@ -121,7 +121,7 @@ def test_commutator_golden():
 
 def closed_form(a, b):
     # <g, x> - <f, y> summed as Fractions: an oracle sharing no code with the group law
-    return character_eval(b.f, a.x) - character_eval(a.f, b.x)
+    return to_qmodz(as_fraction(character_eval(b.f, a.x)) - as_fraction(character_eval(a.f, b.x)))
 
 
 @pytest.mark.parametrize("d", [(2,), (3,)], ids=str)

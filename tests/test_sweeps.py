@@ -4,10 +4,12 @@ import inspect
 
 import pytest
 
+from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
     SWEEPS,
     sweep_kum_three_way,
     sweep_og6_model,
+    sweep_og6_trichotomy,
     sweep_rank4_consistency,
     sweep_tensor_additivity,
 )
@@ -41,3 +43,20 @@ def test_tensor_additivity_catches_a_wrong_tensor(monkeypatch):
     result = sweep_tensor_additivity()
     assert result.failed > 0
     assert result.passed + result.failed == 353
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        {OG6Class.II: OG6Class.III, OG6Class.III: OG6Class.II},
+        {OG6Class.I: OG6Class.II},
+    ],
+    ids=["swap-II-III", "I-to-II"],
+)
+def test_og6_trichotomy_catches_a_wrong_class(monkeypatch, wrong):
+    # the seeded sample (I/II/III = 9,847/103/50) holds vectors of every class,
+    # so a classifier that confuses any two of them fails some checks
+    monkeypatch.setattr("hktheta.sweeps.og6_class", lambda v: wrong.get(og6_class(v), og6_class(v)))
+    result = sweep_og6_trichotomy()
+    assert result.failed > 0
+    assert result.passed + result.failed == 10_000
