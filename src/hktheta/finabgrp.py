@@ -13,12 +13,13 @@ the exponent of G (which Ghat shares), so no entry outgrows the exponent.
 Its kernel, the radical, comes from the same Smith form by duality: for a
 skew pairing E^ = -E, so ker E = (coker E)^, which is isomorphic to coker E.
 The tests check the radical against a literal enumeration of the kernel.
-`brute_cokernel` computes the cokernel independently by enumeration: it
-builds the image of E as <c_1> + ... + <c_r> for the columns c_j of the
-generator matrix, one cyclic extension at a time so each element is built
-once, then counts the cosets of each order with a counting lemma instead of
-visiting every element of Ghat.  The two cokernel routes share no code
-past the generator matrix, so each serves as an oracle for the other.
+`brute_cokernel` computes the cokernel A = Ghat/im(E) independently by
+enumeration, without visiting every element of Ghat: for each k dividing
+the exponent it counts |A[k]| = |A/kA| as |Ghat/k*Ghat| over the size of
+the image of E there, a span <c_1> + ... + <c_r> of the reduced columns c_j
+of the generator matrix, built one cyclic extension at a time so each
+element is made once.  The two cokernel routes share no code past the
+generator matrix, so each serves as an oracle for the other.
 Invariant factors are normalised by gcd and lcm, not factoring.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -90,11 +90,6 @@ class QmodZ:
 
     def is_zero(self) -> bool:
         return self.num == 0
-
-    def __add__(self, other):
-        if not isinstance(other, QmodZ):
-            return NotImplemented
-        return QmodZ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self):
         return QmodZ(-self.num, self.den)
@@ -206,9 +201,10 @@ class Pairing:
 
     matrix[i][j] = e(gen_i, gen_j).  Skewness forces a zero diagonal, and
     biadditivity forces matrix[i][j].den | gcd(orders[i], orders[j]).
-    Once validated, the matrix is also kept in integer units of 1/exponent,
-    whole (_units) and as its nonzero entries (i, j, u) (_entries), over
-    which eval_pairing sums; neither takes part in == or hash.
+    The matrix is also kept in integer units of 1/exponent, whole (_units)
+    and as its nonzero entries (i, j, u) (_entries), over which eval_pairing
+    sums; neither takes part in == or hash.  The diagonal and skew checks run
+    on those integers.
     """
 
     group: FinAbGroup
@@ -224,19 +220,26 @@ class Pairing:
         if any(not isinstance(q, QmodZ) for row in mat for q in row):
             raise ValueError("pairing entries must be QmodZ")
         o = self.group.orders
+        n = self.group.exponent
+        # entries in units of 1/n; None where the denominator does not divide n,
+        # which the order check rejects
+        units = tuple(
+            tuple(q.num * (n // q.den) if n % q.den == 0 else None for q in row) for row in mat)
         for i in range(r):
-            if not mat[i][i].is_zero():
+            if units[i][i] != 0:
                 raise ValueError("pairing must vanish on the diagonal")
             for j in range(r):
-                if mat[j][i] != -mat[i][j]:
+                try:
+                    skew = (units[j][i] + units[i][j]) % n
+                except TypeError:  # an entry outside the units: compare the classes
+                    skew = mat[j][i] != -mat[i][j]
+                if skew:
                     raise ValueError("pairing matrix must be skew")
                 if math.gcd(o[i], o[j]) % mat[i][j].den:
                     raise ValueError(
                         f"entry {mat[i][j]} at ({i},{j}) is incompatible with generator orders"
                     )
         object.__setattr__(self, "matrix", mat)
-        n = self.group.exponent
-        units = tuple(tuple(q.num * (n // q.den) for q in row) for row in mat)
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_entries", tuple(
             (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
@@ -378,34 +381,28 @@ def _image_closure(m, orders) -> set[tuple[int, ...]]:
 def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     """Cokernel by enumeration; independent of the Smith-form route.
 
-    Enumerates the image H = im(E) inside Ghat by cyclic extension, one
-    column c of e_matrix at a time: with k the least k >= 1 such that k*c
-    lies in H, H + <c> is the disjoint union of H + t*c for 0 <= t < k, so
-    each element is built once.  For k | exponent, the cosets of Ghat/H
-    whose order divides k number |Ghat[k]| * |H & k*Ghat| / |H|, where
-    |Ghat[k]| = prod gcd(k, o_i) and y lies in k*Ghat iff gcd(k, o_i) | y_i
-    for every i; subtracting the counts of the proper divisors of k gives
-    the cosets of order exactly k, from which the invariant factors of the
-    quotient are recovered prime by prime.
+    Counts the elements of A = Ghat/H, H = im(E), whose order divides k, for
+    each k | exponent: that is |A[k]| = |A/kA|, and A/kA = Ghat/(H + k*Ghat).
+    Reducing coordinates maps Ghat/k*Ghat onto prod Z/gcd(k, o_i), and H onto
+    the subgroup H_k spanned there by the reduced columns of e_matrix, built
+    by cyclic extension (_image_closure), so |A[k]| = prod gcd(k, o_i) / |H_k|.
+    H_N is H itself for N the exponent; every other H_k is smaller.
+    Subtracting the counts of the proper divisors of k gives the elements of
+    order exactly k, from which the invariant factors of the quotient are
+    recovered prime by prime.
     """
     g = pairing.group
     if g.order > bound:
         raise ValueError(f"group of order {g.order} exceeds the enumeration bound {bound}")
-    o = g.orders
-    image = _image_closure(e_matrix(pairing), o)
-    h = len(image)
-    # gcd(k, o_i) | y_i iff gcd(k, o_i) | gcd(y_i, o_i): group H by those gcds
-    profiles = Counter(tuple(map(math.gcd, y, o)) for y in image)
+    m = e_matrix(pairing)
     counts: dict[int, int] = {}
     for k in divisors(g.exponent):
-        steps = [math.gcd(k, oi) for oi in o]
-        in_multiples = sum(
-            c for prof, c in profiles.items() if all(p % s == 0 for p, s in zip(prof, steps))
-        )
-        preimage = math.prod(steps) * in_multiples  # |{y : k*y in H}|
-        if preimage % h:
-            raise AssertionError("coset order counts must be multiples of the image size")
-        exact = preimage // h - sum(c for d, c in counts.items() if k % d == 0)
+        steps = [math.gcd(k, oi) for oi in g.orders]
+        h_k = len(_image_closure([[x % s for x in row] for row, s in zip(m, steps)], steps))
+        a_k, rest = divmod(math.prod(steps), h_k)
+        if rest:
+            raise AssertionError("the image H_k must divide the order of Ghat/k*Ghat")
+        exact = a_k - sum(c for d, c in counts.items() if k % d == 0)
         if exact:
             counts[k] = exact
     return AbGroupStructure(_factors_from_order_counts(counts))
@@ -473,11 +470,9 @@ def tensor_pairing(p1: Pairing, p2: Pairing) -> Pairing:
     """Pointwise sum of two pairings on the same group (tensor of theta data)."""
     if p1.group != p2.group:
         raise ValueError("pairings live on different groups")
-    r = p1.group.rank
-    mat = tuple(
-        tuple(p1.matrix[i][j] + p2.matrix[i][j] for j in range(r)) for i in range(r)
-    )
-    return Pairing(p1.group, mat)
+    n = p1.group.exponent
+    return Pairing(p1.group, tuple(
+        tuple(QmodZ(a + b, n) for a, b in zip(r1, r2)) for r1, r2 in zip(p1._units, p2._units)))
 
 
 def pairing_to_dict(pairing: Pairing) -> dict:

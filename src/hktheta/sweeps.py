@@ -37,14 +37,7 @@ from .invariants import (
     rank4_a,
     theta_report,
 )
-from .lattices import (
-    divisibility,
-    kum_orbit_split,
-    kum_split_candidates,
-    lambda_og6,
-    og6_class,
-    bbf_square,
-)
+from .lattices import kum_orbit_split, kum_split_candidates, og6_class
 
 __all__ = [
     "SweepResult",
@@ -267,22 +260,31 @@ def sweep_orbit_split() -> SweepResult:
 
 def sweep_og6_trichotomy() -> SweepResult:
     """Random primitive vectors land in exactly one class, with div in {1,2}:
-    10,000 seeded vectors, each drawn in one call, coordinates in [-10, 10]
-    before dividing by the gcd."""
+    10,000 seeded vectors of 8 coordinates in [-10, 10], divided by their
+    gcd, drawn in blocks of up to 256 (the same random() sequence as one
+    call per vector).  The predicted class reads div and q off the explicit
+    Gram matrix of U^3 + <-2> + <-2> on (e1,f1,e2,f2,e3,f3,g1,g2):
+    div = gcd(e1, f1, e2, f2, e3, f3, 2g1, 2g2) and
+    q = 2(e1f1 + e2f2 + e3f3 - g1^2 - g2^2); only og6_class goes through
+    the lattices layer."""
     rng = random.Random(20260821)
-    lat = lambda_og6()
 
-    def outcomes():
+    def vectors():
         produced = 0
         while produced < 10_000:
-            v = rng.choices(range(-10, 11), k=8)
-            if not any(v):
-                continue
-            g = math.gcd(*v)
-            v = tuple(c // g for c in v)
-            produced += 1
-            div = divisibility(lat, v)
-            q = bbf_square(lat, v)
+            c = rng.choices(range(-10, 11), k=8 * min(256, 10_000 - produced))
+            for k in range(0, len(c), 8):
+                v = c[k:k + 8]
+                if any(v):
+                    produced += 1
+                    g = math.gcd(*v)
+                    yield tuple(x // g for x in v)
+
+    def outcomes():
+        for v in vectors():
+            e1, f1, e2, f2, e3, f3, g1, g2 = v
+            div = math.gcd(e1, f1, e2, f2, e3, f3, 2 * g1, 2 * g2)
+            q = 2 * (e1 * f1 + e2 * f2 + e3 * f3 - g1 * g1 - g2 * g2)
             branches = [div == 1, div == 2 and q % 8 == 6, div == 2 and q % 8 == 4]
             if div not in (1, 2) or sum(branches) != 1:
                 yield False

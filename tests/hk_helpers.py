@@ -1,5 +1,6 @@
 """Helpers shared by several test modules; not collected as tests."""
 
+import math
 from fractions import Fraction
 
 from hktheta.finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
@@ -29,6 +30,34 @@ def as_fraction(q: QmodZ) -> Fraction:
 def to_qmodz(x: Fraction) -> QmodZ:
     """The class of a Fraction in Q/Z."""
     return QmodZ(x.numerator, x.denominator)
+
+
+def qmodz_sum(*terms: QmodZ) -> QmodZ:
+    """The sum of classes in Q/Z, taken over their representatives as Fractions."""
+    return to_qmodz(sum(map(as_fraction, terms), Fraction(0)))
+
+
+def check_pairing_matrix(orders, mat) -> None:
+    """Reference for Pairing's validation, on QmodZ values and their negation.
+
+    Raises the ValueError Pairing raises, in the same order: per row i the
+    diagonal, then for each j skewness and order compatibility.
+    """
+    r = len(orders)
+    if len(mat) != r or any(len(row) != r for row in mat):
+        raise ValueError("pairing matrix must be rank x rank")
+    if any(not isinstance(q, QmodZ) for row in mat for q in row):
+        raise ValueError("pairing entries must be QmodZ")
+    for i in range(r):
+        if not mat[i][i].is_zero():
+            raise ValueError("pairing must vanish on the diagonal")
+        for j in range(r):
+            if mat[j][i] != -mat[i][j]:
+                raise ValueError("pairing matrix must be skew")
+            if math.gcd(orders[i], orders[j]) % mat[i][j].den:
+                raise ValueError(
+                    f"entry {mat[i][j]} at ({i},{j}) is incompatible with generator orders"
+                )
 
 
 def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:

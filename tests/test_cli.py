@@ -776,6 +776,21 @@ def test_kummer_cross_check_survives_optimize():
     assert proc.stderr.startswith("internal check failed: class route and (div, q) route disagree")
 
 
+@pytest.mark.parametrize("name, checks", [("kum_three_way", 1584), ("og6_trichotomy", 10_000)])
+def test_sweep_cross_checks_survive_optimize(name, checks):
+    # python -O strips assert statements; the cross-checks these sweeps reach
+    # (brute_cokernel's counting, og6_class's classification) raise instead
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hktheta", "sweep", "--only", name, "--json"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    [rec] = json.loads(proc.stdout)
+    assert (rec["passed"], rec["failed"]) == (checks, 0)
+
+
 def test_source_has_no_assert_statements():
     # python -O strips assert statements, so internal checks raise AssertionError
     src = Path(hktheta.__file__).resolve().parent

@@ -39,7 +39,7 @@ from hktheta.finabgrp import (
     zero_pairing,
 )
 from hktheta.finabgrp import _factors_from_order_counts, _image_closure
-from hk_helpers import as_fraction, symplectic_pairing, to_qmodz
+from hk_helpers import as_fraction, check_pairing_matrix, qmodz_sum, symplectic_pairing, to_qmodz
 
 # ---------------------------------------------------------------------------
 # Q/Z
@@ -73,14 +73,15 @@ qmodz_values = st.builds(QmodZ, st.integers(-40, 40), st.integers(1, 24))
 
 @given(qmodz_values, qmodz_values, qmodz_values)
 def test_qmodz_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a + QmodZ(0) == a
-    assert a + (-a) == QmodZ(0)
-    # against Fraction arithmetic, which shares no code with QmodZ
-    assert a + b == to_qmodz(as_fraction(a) + as_fraction(b))
-    assert a + (-b) == to_qmodz(as_fraction(a) - as_fraction(b))
-    assert a + a + a == to_qmodz(3 * as_fraction(a))
+    # sums go through Fraction representatives, which share no code with QmodZ,
+    # so these check that reduction mod 1 and negation respect the group law
+    assert qmodz_sum(a, b) == qmodz_sum(b, a)
+    assert qmodz_sum(qmodz_sum(a, b), c) == qmodz_sum(a, qmodz_sum(b, c))
+    assert qmodz_sum(a, QmodZ(0)) == a
+    assert qmodz_sum(a, -a) == QmodZ(0)
+    assert qmodz_sum(a, b) == to_qmodz(as_fraction(a) + as_fraction(b))
+    assert qmodz_sum(a, -b) == to_qmodz(as_fraction(a) - as_fraction(b))
+    assert qmodz_sum(a, a, a) == to_qmodz(3 * as_fraction(a))
 
 
 @given(qmodz_values)
@@ -165,6 +166,81 @@ def test_pairing_rejects_bad_matrices():
         Pairing(g, ((zero, half),))
 
 
+@st.composite
+def qmodz_matrices(draw):
+    # a skew matrix valid for mixed orders, then up to three entries overwritten
+    # by arbitrary values, half of them with their skew partner, so that each
+    # of the diagonal, skew and order checks decides some draws
+    rank = draw(st.integers(1, 4))
+    orders = tuple(
+        draw(st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), min_size=rank, max_size=rank))
+    )
+    mat = [[QmodZ(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            den = math.gcd(orders[i], orders[j])
+            mat[i][j] = QmodZ(draw(st.integers(0, den - 1)), den)
+            mat[j][i] = -mat[i][j]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        mat[i][j] = draw(st.builds(QmodZ, st.integers(-20, 20), st.integers(1, 16)))
+        if draw(st.booleans()):
+            mat[j][i] = -mat[i][j]
+    return orders, tuple(map(tuple, mat))
+
+
+def _error_line(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(qmodz_matrices())
+@settings(max_examples=300)
+def test_pairing_validation_matches_the_qmodz_reference(case):
+    # the integer-unit checks accept, reject and word their error exactly as the
+    # checks on QmodZ values and their negatives, in the same order
+    orders, mat = case
+    expected = _error_line(lambda: check_pairing_matrix(orders, mat))
+    assert _error_line(lambda: Pairing(FinAbGroup(orders), mat)) == expected
+    if expected is None:
+        p = Pairing(FinAbGroup(orders), mat)
+        n = p.group.exponent
+        assert [[Fraction(u, n) for u in row] for row in p._units] == [
+            [as_fraction(q) for q in row] for row in mat
+        ]
+
+
+@pytest.mark.parametrize(
+    "orders, mat, error",
+    [
+        # both entries off the units of 1/2 yet skew: the order check fires
+        (
+            (2, 2),
+            ((0, (1, 5)), ((4, 5), 0)),
+            "entry 1/5 at (0,1) is incompatible with generator orders",
+        ),
+        # both off the units and not skew
+        ((2, 2), ((0, (1, 5)), ((1, 5), 0)), "pairing matrix must be skew"),
+        # one entry off the units: not skew, checked before its order
+        ((2, 2), ((0, (1, 2)), ((1, 3), 0)), "pairing matrix must be skew"),
+        ((2, 2), (((1, 3), 0), (0, 0)), "pairing must vanish on the diagonal"),
+        # a valid unit of 1/6 whose denominator does not divide gcd(2, 3) = 1
+        (
+            (2, 3, 6),
+            ((0, (1, 6), 0), ((5, 6), 0, 0), (0, 0, 0)),
+            "entry 1/6 at (0,1) is incompatible with generator orders",
+        ),
+    ],
+)
+def test_pairing_error_lines(orders, mat, error):
+    mat = tuple(tuple(QmodZ(*q) if isinstance(q, tuple) else QmodZ(q) for q in row) for row in mat)
+    assert _error_line(lambda: check_pairing_matrix(orders, mat)) == error
+    assert _error_line(lambda: Pairing(FinAbGroup(orders), mat)) == error
+
+
 def test_skew_with_order_two_entries():
     # on (Z/2)^2 a value of 1/2 is its own negative, so this is legal
     p = symplectic_pairing(2, 1)
@@ -198,8 +274,8 @@ def test_eval_pairing_is_skew_biadditive(data):
     assert eval_pairing(p, a, a).is_zero()
     assert eval_pairing(p, a, b) == -eval_pairing(p, b, a)
     add = lambda u, v: p.group.element(tuple(map(sum, zip(u.coords, v.coords))))
-    assert eval_pairing(p, add(a, b), c) == eval_pairing(p, a, c) + eval_pairing(p, b, c)
-    assert eval_pairing(p, a, add(b, c)) == eval_pairing(p, a, b) + eval_pairing(p, a, c)
+    assert eval_pairing(p, add(a, b), c) == qmodz_sum(eval_pairing(p, a, c), eval_pairing(p, b, c))
+    assert eval_pairing(p, a, add(b, c)) == qmodz_sum(eval_pairing(p, a, b), eval_pairing(p, a, c))
 
 
 def test_e_matrix_golden():
@@ -422,7 +498,9 @@ def _assert_matches_whole_group(p):
     return image, expected
 
 
-@pytest.mark.parametrize("orders", [(2, 4, 8), (3, 6, 12), (2, 3, 4, 6)])
+# in the last three, gcd(k, o_i) = 1 for some i at some k | exponent (k = 2 or 3),
+# so Ghat/k*Ghat drops a factor
+@pytest.mark.parametrize("orders", [(2, 4, 8), (3, 6, 12), (2, 3, 4, 6), (2, 3, 6), (4, 9, 12)])
 def test_brute_cokernel_counting_mixed_orders(orders):
     p = _densest_pairing(orders)
     _, coker = _assert_matches_whole_group(p)
@@ -431,11 +509,12 @@ def test_brute_cokernel_counting_mixed_orders(orders):
 
 
 def test_brute_cokernel_counting_zero_pairing():
-    p = zero_pairing(FinAbGroup((2, 3, 4, 6)))
-    image, coker = _assert_matches_whole_group(p)
-    assert len(image) == 1
-    assert coker == AbGroupStructure.from_cyclic_orders((2, 3, 4, 6))
-    assert _radical_by_enumeration(p) == coker
+    for orders in [(2, 3, 4, 6), (2, 3, 6), (4, 9, 12)]:
+        p = zero_pairing(FinAbGroup(orders))
+        image, coker = _assert_matches_whole_group(p)
+        assert len(image) == 1
+        assert coker == AbGroupStructure.from_cyclic_orders(orders)
+        assert _radical_by_enumeration(p) == coker
 
 
 def test_brute_cokernel_counting_nondegenerate():
@@ -460,6 +539,17 @@ def test_brute_cokernel_counting_nondegenerate():
 @settings(max_examples=40)
 def test_brute_cokernel_matches_whole_group_enumeration(p):
     _assert_matches_whole_group(p)
+
+
+def test_brute_cokernel_counting_nondegenerate_with_trivial_factors():
+    # on Z/2 x Z/3 x Z/6 (= (Z/6)^2): e(g1, g3) = 1/2, e(g2, g3) = 1/3;
+    # Ghat/2Ghat drops the Z/3 factor and Ghat/3Ghat the Z/2 factor
+    g = FinAbGroup((2, 3, 6))
+    zero, half, third = QmodZ(0), QmodZ(1, 2), QmodZ(1, 3)
+    p = Pairing(g, ((zero, zero, half), (zero, zero, third), (-half, -third, zero)))
+    image, coker = _assert_matches_whole_group(p)
+    assert len(image) == g.order
+    assert coker.is_trivial() and pairing_cokernel(p).is_trivial()
 
 
 def test_brute_cokernel_column_meeting_earlier_span():

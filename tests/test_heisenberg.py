@@ -30,7 +30,7 @@ from hktheta.heisenberg import (
     schrodinger_matrix,
     schrodinger_multiplicity,
 )
-from hk_helpers import as_fraction, character_eval, to_qmodz
+from hk_helpers import as_fraction, character_eval, qmodz_sum, to_qmodz
 
 TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 2, 2, 2)]
 
@@ -147,8 +147,8 @@ def test_commutator_ignores_scalars():
     for _ in range(100):
         a = random_heis(rng, d)
         b = random_heis(rng, d)
-        a_shift = HeisElem(a.scalar + QmodZ(1, 9), a.x, a.f)
-        b_shift = HeisElem(b.scalar + QmodZ(5, 7), b.x, b.f)
+        a_shift = HeisElem(qmodz_sum(a.scalar, QmodZ(1, 9)), a.x, a.f)
+        b_shift = HeisElem(qmodz_sum(b.scalar, QmodZ(5, 7)), b.x, b.f)
         assert h_commutator(a_shift, b_shift) == h_commutator(a, b)
 
 

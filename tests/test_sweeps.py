@@ -1,9 +1,11 @@
 """The sweeps of the battery that no acceptance criterion runs, and the battery's shape."""
 
 import inspect
+from collections import Counter
 
 import pytest
 
+from hktheta import lattices
 from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
     SWEEPS,
@@ -57,6 +59,37 @@ def test_og6_trichotomy_catches_a_wrong_class(monkeypatch, wrong):
     # the seeded sample (I/II/III = 9,847/103/50) holds vectors of every class,
     # so a classifier that confuses any two of them fails some checks
     monkeypatch.setattr("hktheta.sweeps.og6_class", lambda v: wrong.get(og6_class(v), og6_class(v)))
+    result = sweep_og6_trichotomy()
+    assert result.failed > 0
+    assert result.passed + result.failed == 10_000
+
+
+def test_og6_trichotomy_sample_is_fixed(monkeypatch):
+    # the seeded sample's class counts; a change to how vectors are drawn shows here
+    seen = Counter()
+
+    def counting(v):
+        cls = og6_class(v)
+        seen[cls] += 1
+        return cls
+
+    monkeypatch.setattr("hktheta.sweeps.og6_class", counting)
+    assert sweep_og6_trichotomy().passed == 10_000
+    assert seen == {OG6Class.I: 9_847, OG6Class.II: 103, OG6Class.III: 50}
+
+
+def test_og6_trichotomy_does_not_share_the_gram_product(monkeypatch):
+    # gram.v with basis vectors e1 and g2 swapped: a wrong Gram matrix on which
+    # every primitive vector still gets a valid (div, q), so og6_class raises
+    # nothing and only an independent predictor can tell the classes are wrong
+    gram_times = lattices._gram_times
+
+    def swapped(lat, v):
+        w = (v[7],) + tuple(v[1:7]) + (v[0],)
+        gw = gram_times(lat, w)
+        return [gw[7]] + gw[1:7] + [gw[0]]
+
+    monkeypatch.setattr(lattices, "_gram_times", swapped)
     result = sweep_og6_trichotomy()
     assert result.failed > 0
     assert result.passed + result.failed == 10_000
