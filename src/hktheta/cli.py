@@ -211,11 +211,14 @@ def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
 def _cmd_sweep(args) -> tuple[list, list[str]]:
     results = run_all() if args.only is None else [
         next(s for s in SWEEPS if s.__name__ == f"sweep_{args.only}")()]
-    record = [asdict(r) for r in results]
+    # a record carries "witnesses" only when the sweep has some
+    record = [{k: v for k, v in asdict(r).items() if k != "witnesses" or v} for r in results]
     total = SweepResult("total", sum(r.passed for r in results),
                         sum(r.failed for r in results), sum(r.seconds for r in results))
-    lines = [f"{r.name}: passed={r.passed} failed={r.failed} seconds={r.seconds:.2f}"
-             for r in (*results, total)]
+    lines = []
+    for r in (*results, total):
+        lines.append(f"{r.name}: passed={r.passed} failed={r.failed} seconds={r.seconds:.2f}")
+        lines += [f"  witness: {w}" for w in r.witnesses]
     if total.failed:
         raise _SweepFailure(record, lines)
     return record, lines

@@ -17,9 +17,14 @@ The tests check the radical against a literal enumeration of the kernel.
 enumeration, without visiting every element of Ghat: for each k dividing
 the exponent it counts |A[k]| = |A/kA| as |Ghat/k*Ghat| over the size of
 the image of E there, a span <c_1> + ... + <c_r> of the reduced columns c_j
-of the generator matrix, built one cyclic extension at a time so each
-element is made once.  The two cokernel routes share no code past the
-generator matrix, so each serves as an oracle for the other.
+of the generator matrix.  That span is one int used as a bitset over
+prod Z/o_i: bit sum x_i*s_i stands for x, with mixed-radix strides
+s_i = o_{i+1}*...*o_r.  Adding t to coordinate i rotates each block of
+o_i*s_i bits by t*s_i, two masked shifts; H + <c> grows by doubling,
+H <- H | (H + c) and c <- 2c, so it takes about log2(order of c) translates.
+At the enumeration bound of 10^6 elements the bitset is 125 KB, and
+(Z/10)^6 takes well under a second.  The two cokernel routes share no
+code past the generator matrix, so each serves as an oracle for the other.
 Invariant factors are normalised by gcd and lcm, not factoring.
 """
 
@@ -29,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import product
 
 from .arith import divisors, factorint
@@ -168,19 +174,9 @@ class AbGroupStructure:
         """Invariant factors of a direct sum of cyclic groups of the given orders.
 
         Carries each order down the chain by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b).
+        The result is frozen, so equal order tuples share one memoised object.
         """
-        chain: list[int] = []
-        for o in orders:
-            o = int(o)
-            if o < 1:
-                raise ValueError("cyclic orders must be positive")
-            if o == 1:
-                continue
-            for i in reversed(range(len(chain))):
-                chain[i], o = math.lcm(chain[i], o), math.gcd(chain[i], o)
-            if o > 1:
-                chain.insert(0, o)
-        return cls(tuple(chain))
+        return _structure_from_cyclic_orders(tuple(orders))
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -193,6 +189,22 @@ class AbGroupStructure:
         if not self.invariant_factors:
             return "trivial"
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
+
+
+@lru_cache(maxsize=1024)
+def _structure_from_cyclic_orders(orders: tuple) -> AbGroupStructure:
+    chain: list[int] = []
+    for o in orders:
+        o = int(o)
+        if o < 1:
+            raise ValueError("cyclic orders must be positive")
+        if o == 1:
+            continue
+        for i in reversed(range(len(chain))):
+            chain[i], o = math.lcm(chain[i], o), math.gcd(chain[i], o)
+        if o > 1:
+            chain.insert(0, o)
+    return AbGroupStructure(tuple(chain))
 
 
 @dataclass(frozen=True)
@@ -361,20 +373,31 @@ def _factors_from_order_counts(counts: dict[int, int]) -> tuple[int, ...]:
     return factors
 
 
-def _image_closure(m, orders) -> set[tuple[int, ...]]:
-    # im(E) = <c_1> + ... + <c_r> over the columns c of m, one column at a time:
-    # with k the least k >= 1 such that k*c lies in H, H + <c> is the disjoint
-    # union of the translates H + t*c for 0 <= t < k, so no element is built twice
-    image = {(0,) * len(orders)}
+def _translate(h: int, c, orders, strides) -> int:
+    # the bitset h moved by c: adding t to coordinate i rotates every block of
+    # o*s bits by t*s, through a mask of the low (o - t)*s bits of each block
+    size = math.prod(orders)
+    for t, o, s in zip(c, orders, strides):
+        if t:
+            low, span = (1 << (o - t) * s) - 1, o * s
+            while span < size:  # copy the mask to every block by doubling
+                low |= low << span
+                span *= 2
+            h = ((h & low) << t * s) | ((h & ~low) >> (o - t) * s)
+    return h
+
+
+def _image_closure(m, orders) -> int:
+    # im(E) = <c_1> + ... + <c_r> over the reduced columns c of m, as a bitset
+    # (bit sum x_i*s_i for x, see the module docstring).  With k the order of
+    # c modulo H, after j doublings H holds the cosets H + t*c for t < 2^j;
+    # 2^j*c lies in it exactly when 2^j >= k, and then H + <c> is complete
+    strides = [math.prod(orders[i + 1:]) for i in range(len(orders))]
+    image = 1
     for c in zip(*m):
-        shifts = []
-        tc = c
-        while tc not in image:
-            shifts.append(tc)
-            tc = tuple(map(operator.mod, map(operator.add, tc, c), orders))
-        base = tuple(image)
-        for tc in shifts:
-            image.update(tuple(map(operator.mod, map(operator.add, y, tc), orders)) for y in base)
+        while not image >> sum(map(operator.mul, c, strides)) & 1:
+            image |= _translate(image, c, orders, strides)
+            c = tuple(2 * x % o for x, o in zip(c, orders))
     return image
 
 
@@ -384,8 +407,9 @@ def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     Counts the elements of A = Ghat/H, H = im(E), whose order divides k, for
     each k | exponent: that is |A[k]| = |A/kA|, and A/kA = Ghat/(H + k*Ghat).
     Reducing coordinates maps Ghat/k*Ghat onto prod Z/gcd(k, o_i), and H onto
-    the subgroup H_k spanned there by the reduced columns of e_matrix, built
-    by cyclic extension (_image_closure), so |A[k]| = prod gcd(k, o_i) / |H_k|.
+    the subgroup H_k spanned there by the reduced columns of e_matrix, a
+    bitset grown by doubling (_image_closure), so
+    |A[k]| = prod gcd(k, o_i) / |H_k|, with |H_k| the bitset's bit count.
     H_N is H itself for N the exponent; every other H_k is smaller.
     Subtracting the counts of the proper divisors of k gives the elements of
     order exactly k, from which the invariant factors of the quotient are
@@ -398,7 +422,8 @@ def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     counts: dict[int, int] = {}
     for k in divisors(g.exponent):
         steps = [math.gcd(k, oi) for oi in g.orders]
-        h_k = len(_image_closure([[x % s for x in row] for row, s in zip(m, steps)], steps))
+        reduced = [[x % s for x in row] for row, s in zip(m, steps)]
+        h_k = _image_closure(reduced, steps).bit_count()
         a_k, rest = divmod(math.prod(steps), h_k)
         if rest:
             raise AssertionError("the image H_k must divide the order of Ghat/k*Ghat")

@@ -30,6 +30,7 @@ from .finabgrp import (
 from .invariants import (
     Family,
     LineBundleInvariants,
+    div0_kum,
     kum_cokernel,
     kum_cokernel_from_class,
     kum_is_heisenberg,
@@ -57,36 +58,44 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's counts and seconds; witnesses name an exception that ended it."""
+
     name: str
     passed: int
     failed: int
     seconds: float
+    witnesses: tuple[str, ...] = ()
 
 
 def _tally(name: str, outcomes) -> SweepResult:
+    # an exception raised inside the outcomes ends the sweep as one failed
+    # check, named in witnesses, so the rest of the battery still runs
     passed = failed = 0
+    witnesses = ()
     start = time.perf_counter()
-    for ok in outcomes:
-        if ok:
-            passed += 1
-        else:
-            failed += 1
-    return SweepResult(name, passed, failed, time.perf_counter() - start)
+    try:
+        for ok in outcomes:
+            if ok:
+                passed += 1
+            else:
+                failed += 1
+    except Exception as exc:
+        failed += 1
+        witnesses = (f"{type(exc).__name__}: {exc}",)
+    return SweepResult(name, passed, failed, time.perf_counter() - start, witnesses)
 
 
 def sweep_kum_criterion() -> SweepResult:
     """Cokernel triviality matches the closed-form Heisenberg criterion,
-    for 2 <= n <= 12, every div | 2(n+1) and even q in [-200, 200]."""
+    for 2 <= n <= 12, every div | 2(n+1) and every q in [-200, 200] that
+    2*div0 divides (the admissible pairs)."""
 
     def outcomes():
         for n in range(2, 13):
             for div in divisors(2 * (n + 1)):
-                for q in range(-200, 201, 2):
-                    try:
-                        cok = kum_cokernel(n, div, q)
-                    except ValueError:
-                        continue  # 2*div0 does not divide q: not an admissible pair
-                    yield cok.is_trivial() == kum_is_heisenberg(n, div, q)
+                step = 2 * div0_kum(n, div)
+                for q in range(-(200 // step) * step, 201, step):
+                    yield kum_cokernel(n, div, q).is_trivial() == kum_is_heisenberg(n, div, q)
 
     return _tally("kum criterion agreement", outcomes())
 

@@ -60,6 +60,27 @@ def check_pairing_matrix(orders, mat) -> None:
                 )
 
 
+def span_by_closure(columns, orders) -> set[tuple[int, ...]]:
+    """The subgroup of prod Z/o_i spanned by the columns, as a set of tuples.
+
+    Adds every column to every element found so far until nothing new comes
+    up: a literal oracle for finabgrp._image_closure, sharing none of its
+    bitset or doubling.
+    """
+    span = {(0,) * len(orders)}
+    frontier = list(span)
+    while frontier:
+        found = []
+        for y in frontier:
+            for c in columns:
+                z = tuple((a + b) % o for a, b, o in zip(y, c, orders))
+                if z not in span:
+                    span.add(z)
+                    found.append(z)
+        frontier = found
+    return span
+
+
 def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
     """<f, x> = sum f_i x_i / d_i in Q/Z, summed as Fractions.
 

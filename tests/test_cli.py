@@ -610,6 +610,27 @@ def test_sweep_reports_and_exit_codes(capsys, monkeypatch):
     assert json.loads(out) == [{"name": "alpha", "passed": 9, "failed": 1, "seconds": 0.25}]
 
 
+def test_sweep_prints_and_records_witnesses(capsys, monkeypatch):
+    results = [SweepResult("alpha", 4, 1, 0.25, ("AssertionError: planted",)),
+               SweepResult("beta", 5, 0, 0.5)]
+    monkeypatch.setattr("hktheta.cli.run_all", lambda: results)
+    code, out, _ = run_cli(capsys, "sweep")
+    assert code == 1
+    assert out.splitlines() == [
+        "alpha: passed=4 failed=1 seconds=0.25",
+        "  witness: AssertionError: planted",
+        "beta: passed=5 failed=0 seconds=0.50",
+        "total: passed=9 failed=1 seconds=0.75",
+    ]
+    code, out, _ = run_cli(capsys, "sweep", "--json")
+    assert code == 1
+    assert json.loads(out) == [
+        {"name": "alpha", "passed": 4, "failed": 1, "seconds": 0.25,
+         "witnesses": ["AssertionError: planted"]},
+        {"name": "beta", "passed": 5, "failed": 0, "seconds": 0.5},
+    ]
+
+
 def test_sweep_only_runs_one_sweep(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "sweep", "--only", "og6_model")
     assert code == 0

@@ -9,12 +9,15 @@ is checked against a literal enumeration of ker E.
 import ast
 import math
 import random
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hktheta import finabgrp
@@ -39,7 +42,14 @@ from hktheta.finabgrp import (
     zero_pairing,
 )
 from hktheta.finabgrp import _factors_from_order_counts, _image_closure
-from hk_helpers import as_fraction, check_pairing_matrix, qmodz_sum, symplectic_pairing, to_qmodz
+from hk_helpers import (
+    as_fraction,
+    check_pairing_matrix,
+    qmodz_sum,
+    span_by_closure,
+    symplectic_pairing,
+    to_qmodz,
+)
 
 # ---------------------------------------------------------------------------
 # Q/Z
@@ -123,6 +133,16 @@ def test_from_cyclic_orders_golden():
     assert fco([8, 4, 2, 9, 3]).invariant_factors == (2, 12, 72)
     assert fco([]).is_trivial()
     assert fco([5, 5]).order == 25
+
+
+def test_from_cyclic_orders_is_memoised():
+    fco = AbGroupStructure.from_cyclic_orders
+    first = fco([4, 6])
+    assert fco(o for o in (4, 6)) is first
+    assert fco((6, 4)) == first
+    for _ in range(2):  # a refusal is not remembered
+        with pytest.raises(ValueError, match="cyclic orders must be positive"):
+            fco([2, 0])
 
 
 def test_structure_validation():
@@ -491,9 +511,15 @@ def _densest_pairing(orders):
     return Pairing(g, tuple(tuple(row) for row in mat))
 
 
+def _decode(bits, orders):
+    # the elements of a bitset over prod Z/o_i: bit i stands for the i-th
+    # tuple of product(), the first coordinate the most significant digit
+    return {x for i, x in enumerate(product(*map(range, orders))) if bits >> i & 1}
+
+
 def _assert_matches_whole_group(p):
     image, expected = _cokernel_by_whole_group(p)
-    assert _image_closure(e_matrix(p), p.group.orders) == image
+    assert _decode(_image_closure(e_matrix(p), p.group.orders), p.group.orders) == image
     assert brute_cokernel(p) == expected
     return image, expected
 
@@ -568,6 +594,63 @@ def test_brute_cokernel_column_meeting_earlier_span():
     image, coker = _assert_matches_whole_group(p)
     assert len(image) == 16
     assert coker == pairing_cokernel(p) == AbGroupStructure((4,))
+
+
+@st.composite
+def orders_and_columns(draw):
+    # up to five columns over a product of rank 0-5 with order-1 factors
+    # allowed: zero columns, arbitrary ones and combinations of earlier ones
+    orders = tuple(draw(st.lists(st.integers(1, 7), max_size=5)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "any", "in_span"]), max_size=5)):
+        if kind == "any":
+            col = tuple(draw(st.integers(0, o - 1)) for o in orders)
+        elif kind == "in_span" and columns:
+            coeffs = [draw(st.integers(0, 6)) for _ in columns]
+            col = tuple(sum(a * c[i] for a, c in zip(coeffs, columns)) % o
+                        for i, o in enumerate(orders))
+        else:
+            col = (0,) * len(orders)
+        columns.append(col)
+    return orders, columns
+
+
+@given(orders_and_columns())
+@example(((), [(), ()]))
+@example(((1, 4, 1, 6), [(0, 2, 0, 3), (0, 0, 0, 0), (0, 0, 0, 0), (0, 2, 0, 3)]))
+@example(((7, 7, 7, 7, 7), [(1, 2, 3, 4, 5), (2, 4, 6, 1, 3), (0, 0, 0, 0, 1)]))
+@settings(max_examples=150)
+def test_image_closure_bitset_matches_literal_span(case):
+    orders, columns = case
+    m = [[c[i] for c in columns] for i in range(len(orders))]
+    bits = _image_closure(m, orders)
+    assert bits >> math.prod(orders) == 0
+    assert _decode(bits, orders) == span_by_closure(columns, orders)
+
+
+@pytest.mark.parametrize("orders, value", [((10,) * 6, None), ((1000, 1000), QmodZ(1, 1000))])
+def test_brute_cokernel_at_the_enumeration_bound(orders, value):
+    # order 10**6, the bound: the densest (Z/10)^6 pairing, and e(g1, g2) = 1/1000
+    # on (Z/1000)^2, whose columns have order 1000 and so take ten doublings
+    if value is None:
+        p = _densest_pairing(orders)
+    else:
+        p = Pairing(FinAbGroup(orders), ((QmodZ(0), value), (-value, QmodZ(0))))
+    assert p.group.order == 10**6
+    tracemalloc.start()
+    try:
+        brute = brute_cokernel(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert brute == pairing_cokernel(p)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        brute_cokernel(p)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.5, f"best of 3: {min(seconds):.2f} s"
 
 
 def test_brute_cokernel_reaches_no_smith_form():

@@ -9,6 +9,7 @@ from hktheta import lattices
 from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
     SWEEPS,
+    run_all,
     sweep_kum_three_way,
     sweep_og6_model,
     sweep_og6_trichotomy,
@@ -93,3 +94,22 @@ def test_og6_trichotomy_does_not_share_the_gram_product(monkeypatch):
     result = sweep_og6_trichotomy()
     assert result.failed > 0
     assert result.passed + result.failed == 10_000
+
+
+def test_an_exception_inside_a_sweep_fails_it_and_the_battery_goes_on(monkeypatch):
+    # a Gram product that drops the last Gram entry makes og6_class's own
+    # cross-check raise on some vectors; that sweep counts it as a failure with
+    # a witness, and every sweep after it still runs and reports
+    def dropped(lat, v):
+        gv = [0] * len(v)
+        for i, j, x in lat._entries[:-1]:
+            gv[i] += x * v[j]
+        return gv
+
+    monkeypatch.setattr(lattices, "_gram_times", dropped)
+    results = run_all()
+    assert len(results) == len(SWEEPS) == 9
+    [trichotomy] = [r for r in results if r.name == "og6 trichotomy"]
+    assert trichotomy.failed >= 1
+    assert len(trichotomy.witnesses) == 1
+    assert trichotomy.witnesses[0].startswith("AssertionError: ")
