@@ -5,6 +5,9 @@ theta reports; `lattice` answers pairing/divisibility/orbit questions about
 the built-in lattices; `pairing` analyzes a pairing loaded from a JSON file;
 `heisenberg` and `schrodinger` expose the group computations; `sweep` runs
 the property battery (one sweep with --only), reporting counts and seconds.
+The parser is built once per process, and each request is parsed once, by
+its subcommand's parser; the top-level parser serves only an argv that names
+no subcommand.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
@@ -19,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .finabgrp import (
     QmodZ,
@@ -164,7 +167,8 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
     if n is None:
         raise ValueError("orbit splitting is defined on kum:<n> lattices")
     split = kum_orbit_split(n, vec)
-    record = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(split).items()}
+    record = {f.name: getattr(split, f.name) for f in fields(split)}
+    record = {k: list(v) if isinstance(v, tuple) else v for k, v in record.items()}
     return record, _report_lines(record)
 
 
@@ -302,12 +306,25 @@ def _emit(args, record, lines):
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    # the top-level parser would only scan argv and hand it to the subcommand's
+    # parser; it serves just the argv that names no subcommand (none, -h, unknown)
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     parser = _PARSER
-    args = parser.parse_args(argv)
+    args = _parse(parser, sys.argv[1:] if argv is None else argv)
     try:
         record, lines = args.handler(args)
     except _Usage as exc:

@@ -3,9 +3,11 @@
 Groups are products of cyclic groups Z/(o_1) x ... x Z/(o_r).  Roots of
 unity are modeled additively: the class t in Q/Z stands for exp(2*pi*i*t),
 so a pairing "with values in roots of unity" is a skew biadditive map
-e : G x G -> Q/Z, stored by its values on pairs of generators.  Those values
-are also kept as integers in units of 1/exponent, and e(a, b) is summed
-over the nonzero ones only, as model pairings are mostly zero.
+e : G x G -> Q/Z, stored by its values on pairs of generators as integers
+in units of 1/exponent; e(a, b) is summed over the nonzero ones only, as
+model pairings are mostly zero.  QmodZ values are built only at the edges:
+`Pairing.matrix`, eval_pairing's value and Pairing(group, matrix) itself;
+documents and the models go straight to and from integers.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel is computed through exact Smith normal form over Z, taken modulo
@@ -62,6 +64,26 @@ __all__ = [
 ]
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in Q/Z as the pair (num, den) with 0 <= num < den and gcd 1."""
+    if den == 0:
+        raise ValueError("denominator must be nonzero")
+    if den < 0:
+        num, den = -num, -den
+    num %= den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _parse_fraction(text: str) -> tuple[int, int]:
+    """The reduced pair of "a/b", or of a bare integer "a" (which is zero mod 1)."""
+    s = text.strip()
+    if "/" in s:
+        a, b = s.split("/", 1)
+        return _reduced(int(a), int(b))
+    return _reduced(int(s), 1)
+
+
 @dataclass(frozen=True)
 class QmodZ:
     """Element of Q/Z as a reduced fraction num/den with 0 <= num < den."""
@@ -70,24 +92,14 @@ class QmodZ:
     den: int = 1
 
     def __post_init__(self):
-        num, den = int(self.num), int(self.den)
-        if den == 0:
-            raise ValueError("denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        num %= den
-        g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        num, den = _reduced(int(self.num), int(self.den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def parse(cls, text: str) -> "QmodZ":
         """Parse "a/b", or a bare integer "a" (which is zero mod 1)."""
-        s = text.strip()
-        if "/" in s:
-            a, b = s.split("/", 1)
-            return cls(int(a), int(b))
-        return cls(int(s))
+        return cls(*_parse_fraction(text))
 
     @property
     def order(self) -> int:
@@ -207,54 +219,67 @@ def _structure_from_cyclic_orders(orders: tuple) -> AbGroupStructure:
     return AbGroupStructure(tuple(chain))
 
 
-@dataclass(frozen=True)
+def _square(rows, r: int):
+    """rows, once checked to be r lists (or tuples) of r entries each."""
+    if not (isinstance(rows, (list, tuple)) and len(rows) == r
+            and all(isinstance(row, (list, tuple)) and len(row) == r for row in rows)):
+        raise ValueError("pairing matrix must be rank x rank")
+    return rows
+
+
+@dataclass(frozen=True, init=False)
 class Pairing:
     """Skew biadditive form on a finite abelian group, by values on generators.
 
-    matrix[i][j] = e(gen_i, gen_j).  Skewness forces a zero diagonal, and
-    biadditivity forces matrix[i][j].den | gcd(orders[i], orders[j]).
-    The matrix is also kept in integer units of 1/exponent, whole (_units)
-    and as its nonzero entries (i, j, u) (_entries), over which eval_pairing
-    sums; neither takes part in == or hash.  The diagonal and skew checks run
-    on those integers.
+    e(gen_i, gen_j) is stored only in integer units of 1/exponent: whole
+    (_units, which equality and hash read) and as its nonzero entries
+    (i, j, u) (_entries), over which eval_pairing sums.  Skewness forces a
+    zero diagonal, and biadditivity forces the reduced denominator of
+    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Pairing(group,
+    matrix) takes QmodZ values; the other constructors hand reduced
+    (num, den) pairs to the same integer checks (_of).
     """
 
     group: FinAbGroup
-    matrix: tuple[tuple[QmodZ, ...], ...]
-    _units: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    _units: tuple[tuple[int, ...], ...]
+    _entries: tuple[tuple[int, int, int], ...] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        r = self.group.rank
-        mat = tuple(tuple(row) for row in self.matrix)
-        if len(mat) != r or any(len(row) != r for row in mat):
-            raise ValueError("pairing matrix must be rank x rank")
-        if any(not isinstance(q, QmodZ) for row in mat for q in row):
+    def __init__(self, group: FinAbGroup, matrix):
+        rows = _square(matrix, group.rank)
+        if any(not isinstance(q, QmodZ) for row in rows for q in row):
             raise ValueError("pairing entries must be QmodZ")
-        o = self.group.orders
-        n = self.group.exponent
-        # entries in units of 1/n; None where the denominator does not divide n,
-        # which the order check rejects
-        units = tuple(
-            tuple(q.num * (n // q.den) if n % q.den == 0 else None for q in row) for row in mat)
-        for i in range(r):
-            if units[i][i] != 0:
+        self._fill(group, [[(q.num, q.den) for q in row] for row in rows])
+
+    @classmethod
+    def _of(cls, group: FinAbGroup, fracs) -> "Pairing":
+        """The pairing whose value on (gen_i, gen_j) is the reduced pair fracs[i][j]."""
+        pairing = object.__new__(cls)
+        pairing._fill(group, fracs)
+        return pairing
+
+    def _fill(self, group: FinAbGroup, fracs):
+        # per row i the diagonal, then for each j skewness and the order check
+        o, n = group.orders, group.exponent
+        for i, row in enumerate(fracs):
+            if row[i][0]:
                 raise ValueError("pairing must vanish on the diagonal")
-            for j in range(r):
-                try:
-                    skew = (units[j][i] + units[i][j]) % n
-                except TypeError:  # an entry outside the units: compare the classes
-                    skew = mat[j][i] != -mat[i][j]
-                if skew:
+            for j, (num, den) in enumerate(row):
+                if fracs[j][i] != (-num % den, den):
                     raise ValueError("pairing matrix must be skew")
-                if math.gcd(o[i], o[j]) % mat[i][j].den:
+                if math.gcd(o[i], o[j]) % den:
                     raise ValueError(
-                        f"entry {mat[i][j]} at ({i},{j}) is incompatible with generator orders"
-                    )
-        object.__setattr__(self, "matrix", mat)
+                        f"entry {num}/{den} at ({i},{j}) is incompatible with generator orders")
+        units = tuple(tuple(num * (n // den) for num, den in row) for row in fracs)
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "_units", units)
         object.__setattr__(self, "_entries", tuple(
             (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
+
+    @property
+    def matrix(self) -> tuple[tuple[QmodZ, ...], ...]:
+        """matrix[i][j] = e(gen_i, gen_j) as QmodZ, built on each read."""
+        n = self.group.exponent
+        return tuple(tuple(QmodZ(u, n) for u in row) for row in self._units)
 
 
 def _pairing_units(pairing: Pairing, a_coords, b_coords) -> int:
@@ -434,19 +459,16 @@ def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
 
 
 def zero_pairing(group: FinAbGroup) -> Pairing:
-    r = group.rank
-    zero = QmodZ(0)
-    return Pairing(group, tuple(tuple(zero for _ in range(r)) for _ in range(r)))
+    return Pairing._of(group, [[(0, 1)] * group.rank] * group.rank)
 
 
 def _pairing_from_pairs(group: FinAbGroup, pairs) -> Pairing:
-    # pairs: iterable of (i, j, QmodZ value); skew completion is automatic
+    # pairs: iterable of (i, j, (num, den)); skew completion is automatic
     r = group.rank
-    mat = [[QmodZ(0) for _ in range(r)] for _ in range(r)]
-    for i, j, val in pairs:
-        mat[i][j] = val
-        mat[j][i] = -val
-    return Pairing(group, tuple(tuple(row) for row in mat))
+    fracs = [[(0, 1)] * r for _ in range(r)]
+    for i, j, (num, den) in pairs:
+        fracs[i][j], fracs[j][i] = _reduced(num, den), _reduced(-num, den)
+    return Pairing._of(group, fracs)
 
 
 def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:
@@ -461,9 +483,7 @@ def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:
         if b < 1 or (n + 1) % b:
             raise ValueError(f"multiplier {b} does not divide {n + 1}")
     group = FinAbGroup((n + 1,) * 4)
-    return _pairing_from_pairs(
-        group, [(0, 1, QmodZ(b1, n + 1)), (2, 3, QmodZ(b2, n + 1))]
-    )
+    return _pairing_from_pairs(group, [(0, 1, (b1, n + 1)), (2, 3, (b2, n + 1))])
 
 
 class OG6PairingCase(Enum):
@@ -481,7 +501,7 @@ def standard_og6_pairing(case: OG6PairingCase) -> Pairing:
     """
     case = OG6PairingCase(case)
     group = FinAbGroup((2,) * 8)
-    half = QmodZ(1, 2)
+    half = (1, 2)
     first = [(0, 1, half), (2, 3, half)]
     second = [(4, 5, half), (6, 7, half)]
     if case is OG6PairingCase.DIV1_NOT4:
@@ -496,15 +516,16 @@ def tensor_pairing(p1: Pairing, p2: Pairing) -> Pairing:
     if p1.group != p2.group:
         raise ValueError("pairings live on different groups")
     n = p1.group.exponent
-    return Pairing(p1.group, tuple(
-        tuple(QmodZ(a + b, n) for a, b in zip(r1, r2)) for r1, r2 in zip(p1._units, p2._units)))
+    return Pairing._of(p1.group, [
+        [_reduced(a + b, n) for a, b in zip(r1, r2)] for r1, r2 in zip(p1._units, p2._units)])
 
 
 def pairing_to_dict(pairing: Pairing) -> dict:
     """Portable document form: generator orders plus a matrix of "num/den" strings."""
+    n = pairing.group.exponent
     return {
         "orders": list(pairing.group.orders),
-        "matrix": [[str(q) for q in row] for row in pairing.matrix],
+        "matrix": [["%d/%d" % _reduced(u, n) for u in row] for row in pairing._units],
     }
 
 
@@ -513,16 +534,18 @@ MAX_PAIRING_RANK = 100  # the Smith form costs about rank^3 operations
 
 def pairing_from_dict(obj) -> Pairing:
     """Inverse of pairing_to_dict; malformed documents, and documents of rank
-    above MAX_PAIRING_RANK, raise ValueError."""
+    above MAX_PAIRING_RANK, raise ValueError.  The rank and the matrix shape
+    are checked before any entry is read; each "a/b" is read straight into
+    a reduced integer pair."""
     try:
         orders = tuple(obj["orders"])
         if len(orders) > MAX_PAIRING_RANK:
             raise ValueError(f"pairing rank {len(orders)} exceeds the limit {MAX_PAIRING_RANK}")
-        matrix = tuple(tuple(QmodZ.parse(s) for s in row) for row in obj["matrix"])
+        fracs = [[_parse_fraction(s) for s in row] for row in _square(obj["matrix"], len(orders))]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc
     # JSON floats such as 2.9 or 1e400 (inf) are not orders, and neither are bools
     bad = [o for o in orders if type(o) is not int]
     if bad:
         raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
-    return Pairing(FinAbGroup(orders), matrix)
+    return Pairing._of(FinAbGroup(orders), fracs)

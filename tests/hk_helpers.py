@@ -3,7 +3,7 @@
 import math
 from fractions import Fraction
 
-from hktheta.finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
+from hktheta.finabgrp import MAX_PAIRING_RANK, FinAbGroup, GroupElement, Pairing, QmodZ
 
 
 def symplectic_pairing(m: int, npairs: int) -> Pairing:
@@ -58,6 +58,33 @@ def check_pairing_matrix(orders, mat) -> None:
                 raise ValueError(
                     f"entry {mat[i][j]} at ({i},{j}) is incompatible with generator orders"
                 )
+
+
+def pairing_from_dict_by_qmodz(obj) -> Pairing:
+    """Reference for finabgrp.pairing_from_dict on the QmodZ route.
+
+    Each entry is parsed by QmodZ.parse and the matrix handed to
+    Pairing(FinAbGroup(orders), matrix), as documents were read before they
+    went straight into integer pairs.  The one step added to that route is
+    the shape check, made before any entry is read: `rank` lists of `rank`
+    entries, where strings and dicts are not rows.
+    """
+    try:
+        orders = tuple(obj["orders"])
+        r = len(orders)
+        if r > MAX_PAIRING_RANK:
+            raise ValueError(f"pairing rank {r} exceeds the limit {MAX_PAIRING_RANK}")
+        rows = obj["matrix"]
+        if not isinstance(rows, (list, tuple)) or len(rows) != r or any(
+                not isinstance(row, (list, tuple)) or len(row) != r for row in rows):
+            raise ValueError("pairing matrix must be rank x rank")
+        matrix = tuple(tuple(QmodZ.parse(s) for s in row) for row in rows)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed pairing document: {exc!r}") from exc
+    bad = [o for o in orders if type(o) is not int]
+    if bad:
+        raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
+    return Pairing(FinAbGroup(orders), matrix)
 
 
 def span_by_closure(columns, orders) -> set[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """CLI surface: output shapes, JSON stability, exit codes."""
 
+import argparse
 import ast
 import contextlib
 import io
@@ -11,10 +12,11 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hktheta
@@ -24,6 +26,8 @@ from hktheta.finabgrp import (
     MAX_PAIRING_RANK,
     AbGroupStructure,
     OG6PairingCase,
+    Pairing,
+    pairing_from_dict,
     pairing_to_dict,
     standard_kum_pairing,
     standard_og6_pairing,
@@ -31,7 +35,7 @@ from hktheta.finabgrp import (
 from hktheta.heisenberg import MAX_SCHRODINGER_DIM
 from hktheta.invariants import MAX_H0_BITS
 from hktheta.sweeps import SweepResult
-from hk_helpers import symplectic_pairing
+from hk_helpers import pairing_from_dict_by_qmodz, symplectic_pairing
 
 
 def run_cli(capsys, *argv):
@@ -568,6 +572,17 @@ def _pairing_docs(draw):
             st.integers(-2, 13) | st.sampled_from([10**30, True, 2.0]) | _json_values)
     for _ in range(draw(st.integers(0, 2))):
         matrix[draw(st.integers(0, k - 1))][draw(st.integers(0, k - 1))] = draw(_odd_entries)
+    # a shape fault: an extra row, a short row, a row that is a string or a dict
+    fault = draw(st.sampled_from([None, "extra", "short", "string", "dict"]))
+    i = draw(st.integers(0, k - 1))
+    if fault == "extra":
+        matrix.append(list(matrix[i]))
+    elif fault == "short":
+        matrix[i] = matrix[i][:-1]
+    elif fault == "string":
+        matrix[i] = draw(st.sampled_from(["0" * k, " ".join(map(str, matrix[i]))]))
+    elif fault == "dict":
+        matrix[i] = {str(j): entry for j, entry in enumerate(matrix[i])}
     return draw(st.sampled_from([{"orders": orders, "matrix": matrix}, matrix, {"orders": orders}])
                 | _json_values)
 
@@ -577,6 +592,65 @@ def test_pairing_fuzzed_documents(tmp_path_factory, doc, question):
     path = tmp_path_factory.getbasetemp() / "fuzzed-pairing.json"
     path.write_text(json.dumps(doc))
     assert _exit_code(["pairing", question, "--file", str(path)]) in (0, 1, 2)
+
+
+def _read(load, doc):
+    try:
+        return load(doc)
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+@given(_pairing_docs())
+def test_pairing_documents_read_as_on_the_qmodz_route(doc):
+    # integer pairs straight from the text give the pairing, or the error line,
+    # of QmodZ.parse entries handed to Pairing(group, matrix)
+    doc = json.loads(json.dumps(doc))  # what --file reads
+    got, want = _read(pairing_from_dict, doc), _read(pairing_from_dict_by_qmodz, doc)
+    assert got == want
+    if isinstance(want, Pairing):
+        assert hash(got) == hash(want) and got.matrix == want.matrix
+
+
+_LONG_DOC = {"orders": [2, 2], "matrix": [["0/1", "1/2"]] * 300_000}  # 4.8 MB as JSON
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        _LONG_DOC["matrix"],  # rows of the right length, far too many
+        [["0/1", "1/2"], ["1/2"]],  # ragged
+        [["0/1", "1/2"], ["1/2", "0/1", "0/1"]],
+        [["0/1", "1/2"], "00"],  # a string row, whose two characters parsed as entries before
+        ["0/1", "1/2"],
+        [["0/1", "1/2"], {"0": "1/2", "1": "0/1"}],  # a dict row, whose keys parsed before
+        {"0": ["0/1", "1/2"], "1": ["1/2", "0/1"]},
+        "0/1",
+        None,
+    ],
+    ids=["long", "short-row", "long-row", "string-row", "string-rows", "dict-row", "dict",
+         "string", "null"],
+)
+def test_pairing_shape_is_checked_before_any_entry(matrix):
+    # parsing every entry first took 3.9 s on the long document before this refusal
+    start = time.perf_counter()
+    line = _read(pairing_from_dict, {"orders": [2, 2], "matrix": matrix})
+    assert time.perf_counter() - start < 0.5
+    assert line == "error: pairing matrix must be rank x rank"
+
+
+def test_pairing_shape_refusal_survives_optimize(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_LONG_DOC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hktheta", "pairing", "cokernel", "--file", str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: pairing matrix must be rank x rank\n"
 
 
 # ---------------------------------------------------------------------------
@@ -722,6 +796,109 @@ def test_readme_tour_matches_the_cli(capsys):
         assert code == 0, (argv, err)
         got = out.splitlines()
         assert len(got) == len(shown) and all(map(_shows, got, shown)), (argv, out)
+
+
+# ---------------------------------------------------------------------------
+# one parse per request: the subcommand's parser against the full top-level parse
+
+
+def _full_parse(parser, argv):
+    # the reference route: the top-level parser parses argv and hands the
+    # subcommand's words to that subcommand's parser, which parses them again
+    return parser.parse_args(argv)
+
+
+def _answer(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def both_routes(monkeypatch, tmp_path):
+    """Answers argv by dispatch and by the full parse, in a directory that holds
+    pairing.json; the sweeps are stand-ins, so no answer carries a timing."""
+    (tmp_path / "pairing.json").write_text(json.dumps(pairing_to_dict(standard_kum_pairing(2, 1, 3))))
+    monkeypatch.chdir(tmp_path)
+
+    def stand_in(name):
+        def sweep():
+            return SweepResult(name.removeprefix("sweep_"), 3, 0, 0.25)
+
+        sweep.__name__ = name
+        return sweep
+
+    monkeypatch.setattr(cli, "SWEEPS", tuple(stand_in(s.__name__) for s in cli.SWEEPS))
+    monkeypatch.setattr(cli, "run_all", lambda: [s() for s in cli.SWEEPS])
+
+    def answer(argv):
+        dispatched = _answer(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", _full_parse)
+            return dispatched, _answer(argv)
+
+    return answer
+
+
+_ROUTE_CORPUS = [
+    [], ["unknown-command"], ["og6", "--div", "1"],  # test_usage_errors
+    ["--json", "rank4", "--e", "10"], ["--n", "2", "kummer"], ["-h", "kummer"],  # options first
+    ["-h"], ["--help"], ["kummer", "-h"], ["pairing", "--help"], ["lattice", "div", "-h"],
+    ["frobnicate", "--n", "2"], ["Kummer"], ["rank4", "--e", "10", "extra", "--bogus=1"],
+    ["og6", "--div", "1", "--q", "2", "-x"], ["rank4", "--e", "10", "--", "--json"],
+    ["rank4", "--e", "10", "--js"], ["rank4", "--e=10", "--jso"],  # abbreviations
+    ["og6", "--div", "1", "--q", "-4"], ["kummer", "--n", "2", "--div", "1", "--q", "-6"],
+    ["og6", "--div", "1", "--q=-4", "--json"], ["rank4", "--e", "-6"],  # negative values
+    ["sweep", "--only", "og6_model"], ["sweep", "--only", "og6"], ["sweep", "--json", "extra"],
+    ["pairing", "nondeg", "--file", "pairing.json", "--oracle"],
+]
+
+
+def test_dispatch_answers_as_the_full_parse(both_routes):
+    corpus = [argv[1:] for argv, _ in readme_tour()] + _ROUTE_CORPUS
+    assert len(corpus) > len(_ROUTE_CORPUS) + 8
+    for argv in corpus:
+        dispatched, full = both_routes(argv)
+        assert dispatched == full, argv
+
+
+_route_words = st.sampled_from([
+    "kummer", "og6", "rank4", "lattice", "pairing", "heisenberg", "schrodinger", "sweep",
+    "div", "q", "class", "orbit", "cokernel", "radical", "nondeg", "commutator", "matrix",
+    "--json", "--js", "-h", "--help", "--he", "--", "-x", "--bogus=1", "--n", "--n=3", "--div",
+    "--q", "--e", "--a1", "--x", "-4", "2", "6", "--lattice=og6", "--lattice", "kum:2",
+    "--vector=1,0,0,0,0,0,0,0", "--file=pairing.json", "--oracle", "--only", "og6_model",
+    "--d=2", "--a=0;(1);(0)", "--b=0;(0);(1)", "--elem=0;(1);(0)",
+]) | st.text(max_size=6)
+
+
+@given(st.lists(_route_words, max_size=8))
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # shared set-up only
+def test_dispatch_answers_as_the_full_parse_fuzzed(both_routes, argv):
+    dispatched, full = both_routes(argv)
+    assert dispatched == full
+
+
+def test_one_request_is_one_parse(capsys, monkeypatch):
+    run_cli(capsys, "rank4", "--e", "10")  # the parser is built
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    calls = []
+
+    def counted(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(capsys, "rank4", "--e", "10")[0] == 0
+    assert calls == ["hktheta rank4"]
+    calls.clear()
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    assert run_cli(capsys, "rank4", "--e", "10")[0] == 0
+    assert calls == ["hktheta", "hktheta rank4"]
 
 
 # ---------------------------------------------------------------------------

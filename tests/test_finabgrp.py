@@ -467,11 +467,11 @@ def test_route_agreement_random(p):
 @given(skew_pairings())
 def test_e_matrix_matches_the_pairing_entries(p):
     # entry (i, j) is e(gen_j, gen_i) = num/den written in units of 1/orders[i]
-    m = e_matrix(p)
+    m, mat = e_matrix(p), p.matrix  # `matrix` builds its QmodZ values on each read
     o, r = p.group.orders, p.group.rank
     for i in range(r):
         for j in range(r):
-            value = Fraction(p.matrix[j][i].num, p.matrix[j][i].den) * o[i]
+            value = Fraction(mat[j][i].num, mat[j][i].den) * o[i]
             assert value.denominator == 1 and m[i][j] == value.numerator % o[i]
 
 
@@ -684,9 +684,10 @@ def test_brute_cokernel_reaches_no_smith_form():
 
 def _dense_sum(p, a, b):
     # sum over every (i, j), zero entries included, as an unreduced Fraction
+    mat = p.matrix  # built on each read
     return sum(
         (
-            Fraction(ai * bj * p.matrix[i][j].num, p.matrix[i][j].den)
+            Fraction(ai * bj * mat[i][j].num, mat[i][j].den)
             for i, ai in enumerate(a.coords)
             for j, bj in enumerate(b.coords)
         ),
@@ -798,6 +799,28 @@ def test_pairing_document_round_trip():
         # document is JSON-plain: lists, ints, strings only
         assert all(isinstance(o, int) for o in doc["orders"])
         assert all(isinstance(s, str) for row in doc["matrix"] for s in row)
+
+
+@given(skew_pairings())
+def test_document_round_trip_keeps_equality_and_hash(p):
+    q = pairing_from_dict(pairing_to_dict(p))
+    assert q == p and hash(q) == hash(p)
+    assert q.matrix == p.matrix
+
+
+def test_integer_routes_build_no_qmodz(monkeypatch):
+    # the models, tensor_pairing and the document forms work in integer
+    # units; QmodZ is built only at an edge such as `matrix`
+    built = []
+    post_init = QmodZ.__post_init__
+    monkeypatch.setattr(QmodZ, "__post_init__", lambda q: built.append(q) or post_init(q))
+    p, q = standard_kum_pairing(5, 2, 6), standard_kum_pairing(5, 3, 1)
+    og6 = standard_og6_pairing(OG6PairingCase.DIV1_NOT4)
+    t = tensor_pairing(p, q)
+    assert pairing_from_dict(pairing_to_dict(t)) == t
+    assert tensor_pairing(og6, zero_pairing(og6.group)) == og6
+    assert built == []
+    assert p.matrix[0][1] == QmodZ(1, 3) and len(built) == 16 + 1
 
 
 def test_pairing_document_malformed():
