@@ -8,8 +8,6 @@ criteria, and section counts), `sweeps` (deterministic property suites),
 and `cli` (the `hktheta` command).
 """
 
-from types import ModuleType as _ModuleType
-
 from .finabgrp import (
     AbGroupStructure,
     FinAbGroup,
@@ -63,6 +61,48 @@ from .lattices import (
 
 __version__ = "0.1.0"
 
-# every name imported above, the submodules themselves excepted, and the version
-__all__ = [name for name, value in globals().items()
-           if not name.startswith("_") and not isinstance(value, _ModuleType)] + ["__version__"]
+__all__ = [
+    "AbGroupStructure",
+    "FinAbGroup",
+    "GroupElement",
+    "OG6PairingCase",
+    "Pairing",
+    "QmodZ",
+    "brute_cokernel",
+    "eval_pairing",
+    "is_nondegenerate",
+    "pairing_cokernel",
+    "pairing_radical",
+    "standard_kum_pairing",
+    "standard_og6_pairing",
+    "tensor_pairing",
+    "GenPermMatrix",
+    "HeisElem",
+    "character_norm",
+    "h_commutator",
+    "h_mul",
+    "heis_pairing",
+    "schrodinger_matrix",
+    "schrodinger_multiplicity",
+    "Family",
+    "LineBundleInvariants",
+    "ThetaReport",
+    "kum_cokernel",
+    "kum_cokernel_from_class",
+    "og6_cokernel",
+    "rank4_cokernel",
+    "riemann_roch",
+    "theta_report",
+    "GramLattice",
+    "OG6Class",
+    "OrbitInvariant",
+    "bbf_pair",
+    "bbf_square",
+    "divisibility",
+    "is_primitive",
+    "kum_orbit_split",
+    "lambda_kum",
+    "lambda_og6",
+    "og6_class",
+    "__version__",
+]

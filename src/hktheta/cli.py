@@ -307,13 +307,15 @@ _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # the top-level parser would only scan argv and hand it to the subcommand's
-    # parser; it serves just the argv that names no subcommand (none, -h, unknown)
+    # the top-level parser would only scan argv, set args.command and hand the
+    # rest to the subcommand's parser; it serves just the argv that names no
+    # subcommand (none, -h, unknown)
     commands = next(a.choices for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    args, extras = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
