@@ -1,7 +1,7 @@
 """Small exact number-theory helpers.  `factorint` and `divisors` use
 unbounded trial division, so they serve only bounded callers: the `finabgrp`
-enumeration oracle (order <= 10**6), `heisenberg.cyclotomic_poly` (from
-`character_norm`, dim <= 64) and two fixed-range sweeps.
+enumeration oracle (factorint only, order <= 10**6), `heisenberg.cyclotomic_poly`
+(from `character_norm`, dim <= 64) and two fixed-range sweeps.
 """
 
 from __future__ import annotations

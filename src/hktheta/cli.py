@@ -26,6 +26,7 @@ from dataclasses import asdict, fields
 
 from .finabgrp import (
     QmodZ,
+    _reduced,
     brute_cokernel,
     is_nondegenerate,
     pairing_cokernel,
@@ -205,7 +206,7 @@ def _cmd_heisenberg(args) -> tuple[dict, list[str]]:
 def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
     elem = _parse_heis_elem(args.d, args.elem)
     mat = schrodinger_matrix(elem)
-    phases = [str(QmodZ(p, mat.modulus)) for p in mat.phases]
+    phases = ["%d/%d" % _reduced(p, mat.modulus) for p in mat.phases]
     record = {"dim": mat.dim, "perm": list(mat.perm), "phases": phases}
     lines = [f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
              "phases: " + " ".join(record["phases"])]

@@ -16,18 +16,19 @@ Its kernel, the radical, comes from the same Smith form by duality: for a
 skew pairing E^ = -E, so ker E = (coker E)^, which is isomorphic to coker E.
 The tests check the radical against a literal enumeration of the kernel.
 `brute_cokernel` computes the cokernel A = Ghat/im(E) independently by
-enumeration, without visiting every element of Ghat: for each k dividing
-the exponent it counts |A[k]| = |A/kA| as |Ghat/k*Ghat| over the size of
-the image of E there, a span <c_1> + ... + <c_r> of the reduced columns c_j
-of the generator matrix.  That span is one int used as a bitset over
-prod Z/o_i: bit sum x_i*s_i stands for x, with mixed-radix strides
-s_i = o_{i+1}*...*o_r.  Adding t to coordinate i rotates each block of
-o_i*s_i bits by t*s_i, two masked shifts; H + <c> grows by doubling,
-H <- H | (H + c) and c <- 2c, so it takes about log2(order of c) translates.
-At the enumeration bound of 10^6 elements the bitset is 125 KB, and
-(Z/10)^6 takes well under a second.  The two cokernel routes share no
-code past the generator matrix, so each serves as an oracle for the other.
-Invariant factors are normalised by gcd and lcm, not factoring.
+enumeration, without visiting every element of Ghat: for each prime power
+k = p^j dividing the exponent it counts |A[k]| = |A/kA| as |Ghat/k*Ghat|
+over the size of the image of E there, a span <c_1> + ... + <c_r> of the
+reduced columns c_j of the generator matrix, and the ratios of successive
+counts give the p-parts of the invariant factors.  That span is one int
+used as a bitset over prod Z/o_i: bit sum x_i*s_i stands for x, with
+mixed-radix strides s_i = o_{i+1}*...*o_r.  Adding t to coordinate i
+rotates each block of o_i*s_i bits by t*s_i, two masked shifts; H + <c>
+grows by doubling, H <- H | (H + c) and c <- 2c, so it takes about
+log2(order of c) translates.  The largest bitset is the largest p-group
+quotient, at most the enumeration bound of 10^6 bits (125 KB).  The two
+cokernel routes share no code past the generator matrix, so each serves as
+an oracle for the other.  Invariant factors are normalised by gcd and lcm.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .arith import divisors, factorint
+from .arith import factorint
 from .snf import smith_normal_form
 
 __all__ = [
@@ -277,7 +278,8 @@ class Pairing:
 
     @property
     def matrix(self) -> tuple[tuple[QmodZ, ...], ...]:
-        """matrix[i][j] = e(gen_i, gen_j) as QmodZ, built on each read."""
+        """matrix[i][j] = e(gen_i, gen_j) as QmodZ, all rank^2 values built on
+        each read: bind it once before indexing it in a loop."""
         n = self.group.exponent
         return tuple(tuple(QmodZ(u, n) for u in row) for row in self._units)
 
@@ -350,54 +352,6 @@ def is_nondegenerate(pairing: Pairing) -> bool:
     return pairing_cokernel(pairing).is_trivial()
 
 
-def _divides_prime_power(k: int, p: int, j: int) -> bool:
-    # k | p**j, i.e. k is a power of p with exponent <= j
-    e = 0
-    while k % p == 0:
-        k //= p
-        e += 1
-    return k == 1 and e <= j
-
-
-def _factors_from_order_counts(counts: dict[int, int]) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group given its element-order counts."""
-    total = sum(counts.values())
-    if total == 1:
-        return ()
-    per_prime: dict[int, list[int]] = {}
-    for p in factorint(total):
-        tower = []  # tower[j-1] = number of invariant factors with p-exponent >= j
-        n_prev = 1
-        j = 1
-        while True:
-            nj = sum(c for k, c in counts.items() if _divides_prime_power(k, p, j))
-            if nj % n_prev:
-                raise AssertionError("element-order counts are inconsistent")
-            ratio = nj // n_prev
-            cj = 0
-            while ratio % p == 0:
-                ratio //= p
-                cj += 1
-            if ratio != 1:
-                raise AssertionError("element-order counts are inconsistent")
-            if cj == 0:
-                break
-            tower.append(cj)
-            n_prev = nj
-            j += 1
-        if tower:
-            per_prime[p] = [sum(1 for c in tower if c > idx) for idx in range(tower[0])]
-    width = max(len(v) for v in per_prime.values())
-    desc = [
-        math.prod(p ** exps[s] for p, exps in per_prime.items() if s < len(exps))
-        for s in range(width)
-    ]
-    factors = tuple(reversed(desc))
-    if math.prod(factors) != total:
-        raise AssertionError("reconstructed invariant factors have the wrong order")
-    return factors
-
-
 def _translate(h: int, c, orders, strides) -> int:
     # the bitset h moved by c: adding t to coordinate i rotates every block of
     # o*s bits by t*s, through a mask of the low (o - t)*s bits of each block
@@ -429,33 +383,42 @@ def _image_closure(m, orders) -> int:
 def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     """Cokernel by enumeration; independent of the Smith-form route.
 
-    Counts the elements of A = Ghat/H, H = im(E), whose order divides k, for
-    each k | exponent: that is |A[k]| = |A/kA|, and A/kA = Ghat/(H + k*Ghat).
-    Reducing coordinates maps Ghat/k*Ghat onto prod Z/gcd(k, o_i), and H onto
-    the subgroup H_k spanned there by the reduced columns of e_matrix, a
-    bitset grown by doubling (_image_closure), so
-    |A[k]| = prod gcd(k, o_i) / |H_k|, with |H_k| the bitset's bit count.
-    H_N is H itself for N the exponent; every other H_k is smaller.
-    Subtracting the counts of the proper divisors of k gives the elements of
-    order exactly k, from which the invariant factors of the quotient are
-    recovered prime by prime.
+    For each prime power k = p^j dividing the exponent it counts the elements
+    of A = Ghat/H, H = im(E), whose order divides k: that is |A[k]| = |A/kA|,
+    and A/kA = Ghat/(H + k*Ghat).  Reducing coordinates maps Ghat/k*Ghat onto
+    prod Z/gcd(k, o_i), and H onto the subgroup H_k spanned there by the
+    reduced columns of e_matrix, a bitset grown by doubling (_image_closure),
+    so |A[k]| = prod gcd(k, o_i) / |H_k|, with |H_k| the bitset's bit count.
+    Then |A[p^j]| / |A[p^(j-1)]| = p^(c_j), c_j the number of invariant
+    factors divisible by p^j: the top c_j entries of a rank-long chain take a
+    factor p, and the prime is done at the first c_j = 0.
     """
     g = pairing.group
     if g.order > bound:
         raise ValueError(f"group of order {g.order} exceeds the enumeration bound {bound}")
     m = e_matrix(pairing)
-    counts: dict[int, int] = {}
-    for k in divisors(g.exponent):
-        steps = [math.gcd(k, oi) for oi in g.orders]
-        reduced = [[x % s for x in row] for row, s in zip(m, steps)]
-        h_k = _image_closure(reduced, steps).bit_count()
-        a_k, rest = divmod(math.prod(steps), h_k)
-        if rest:
-            raise AssertionError("the image H_k must divide the order of Ghat/k*Ghat")
-        exact = a_k - sum(c for d, c in counts.items() if k % d == 0)
-        if exact:
-            counts[k] = exact
-    return AbGroupStructure(_factors_from_order_counts(counts))
+    chain = [1] * g.rank  # ascending; a quotient of Ghat has at most rank factors
+    for p, top in factorint(g.exponent).items():
+        below, c_prev = 1, g.rank
+        for j in range(1, top + 1):
+            steps = [math.gcd(p**j, oi) for oi in g.orders]
+            reduced = [[x % s for x in row] for row, s in zip(m, steps)]
+            size, h_k = math.prod(steps), _image_closure(reduced, steps).bit_count()
+            if not h_k or size % h_k:
+                raise AssertionError(f"|H_k| does not divide |Ghat/k*Ghat| at p^j = {p}^{j}")
+            a_k, c_j = size // h_k, 0
+            while a_k > below * p**c_j:
+                c_j += 1
+            if a_k != below * p**c_j:
+                raise AssertionError(f"|A[k]| / |A[k/p]| is not a power of p at p^j = {p}^{j}")
+            if c_j > c_prev:
+                raise AssertionError(f"c_j exceeds c_(j-1) at p^j = {p}^{j}")
+            if not c_j:
+                break
+            for i in range(g.rank - c_j, g.rank):
+                chain[i] *= p
+            below, c_prev = a_k, c_j
+    return AbGroupStructure(tuple(d for d in chain if d > 1))
 
 
 def zero_pairing(group: FinAbGroup) -> Pairing:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import hktheta
 import hktheta.cli as cli
+import hktheta.finabgrp as finabgrp
 from hktheta.cli import main
 from hktheta.finabgrp import (
     MAX_PAIRING_RANK,
@@ -990,6 +991,39 @@ def test_kummer_cross_check_survives_optimize():
     assert proc.stderr.startswith("internal check failed: class route and (div, q) route disagree")
 
 
+_NONDEGENERATE_DOC = {"orders": [3, 3], "matrix": [["0/1", "1/3"], ["2/3", "0/1"]]}
+
+
+def test_oracle_check_failure_is_an_internal_error(capsys, monkeypatch, tmp_path):
+    # an image bitset without the identity fails brute_cokernel's own check: exit
+    # 3 with one line, never the exit 1 of bad input
+    path = tmp_path / "pairing.json"
+    path.write_text(json.dumps(_NONDEGENERATE_DOC))
+    closure = finabgrp._image_closure
+    monkeypatch.setattr(finabgrp, "_image_closure", lambda m, orders: closure(m, orders) & ~1)
+    argv = ["pairing", "cokernel", "--oracle", "--file", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal check failed: ") and err.count("\n") == 1
+    assert "p^j = 3^1" in err
+
+    planted = (
+        "import sys\n"
+        "import hktheta.finabgrp as f\n"
+        "import hktheta.cli as cli\n"
+        "closure = f._image_closure\n"
+        "f._image_closure = lambda m, orders: closure(m, orders) & ~1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", planted, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 @pytest.mark.parametrize("name, checks", [("kum_three_way", 1584), ("og6_trichotomy", 10_000)])
 def test_sweep_cross_checks_survive_optimize(name, checks):
     # python -O strips assert statements; the cross-checks these sweeps reach
@@ -1022,7 +1056,6 @@ def test_trial_division_has_only_bounded_callers():
     # bound on large inputs; only callers whose input is bounded may use them
     bounded = {
         "arith.divisors",
-        "finabgrp._factors_from_order_counts",  # group order <= 10**6
         "finabgrp.brute_cokernel",  # group order <= 10**6
         "heisenberg.cyclotomic_poly",  # reached only from character_norm, dim <= 64
         "sweeps.sweep_kum_criterion",  # fixed range

@@ -11,7 +11,6 @@ import math
 import random
 import time
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -41,7 +40,7 @@ from hktheta.finabgrp import (
     tensor_pairing,
     zero_pairing,
 )
-from hktheta.finabgrp import _factors_from_order_counts, _image_closure
+from hktheta.finabgrp import _image_closure
 from hk_helpers import (
     as_fraction,
     check_pairing_matrix,
@@ -411,16 +410,32 @@ CONSTRUCTIBLE["tensor-og6"] = tensor_pairing(
 )
 
 
+def _divisors_by_trial(n):
+    # every k | n by literal trial, so the references share no code with arith
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _assert_torsion_sizes(sizes, structure):
+    """sizes[k] = |A[k]| for every k dividing N, the exponent of G, counted by
+    enumeration; A must have structure's invariant factors d_i.  Each |A[k]|
+    must be prod gcd(k, d_i) and |A| = |A[N]| must be prod d_i: the sizes of
+    the prime-power torsion determine A, and this shares no code with
+    brute_cokernel."""
+    assert sizes[max(sizes)] == structure.order
+    for k, size in sizes.items():
+        assert size == math.prod(math.gcd(k, d) for d in structure.invariant_factors), k
+
+
 def _radical_by_enumeration(p):
-    """ker E by literal enumeration: every a in G with e(a, gen_j) = 0 for all
-    j, counted by order; the reference for pairing_radical, with no Smith form."""
+    """|ker E[k]| for every k | exponent by literal enumeration: the a in G with
+    e(a, gen_j) = 0 for all j and k*a = 0; the reference for pairing_radical,
+    with no Smith form."""
     g = p.group
     gens = [g.gen(j) for j in range(g.rank)]
-    counts = Counter()
-    for a in map(g.element, g.coord_tuples()):
-        if all(eval_pairing(p, a, x).is_zero() for x in gens):
-            counts[math.lcm(*(o // math.gcd(c, o) for c, o in zip(a.coords, g.orders)))] += 1
-    return AbGroupStructure(_factors_from_order_counts(counts))
+    kernel = [a.coords for a in map(g.element, g.coord_tuples())
+              if all(eval_pairing(p, a, x).is_zero() for x in gens)]
+    return {k: sum(all(k * c % o == 0 for c, o in zip(a, g.orders)) for a in kernel)
+            for k in _divisors_by_trial(g.exponent)}
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTIBLE))
@@ -429,9 +444,8 @@ def test_route_agreement_constructible(name):
     coker = pairing_cokernel(p)
     assert brute_cokernel(p) == coker
     # for a skew pairing the radical and the cokernel are isomorphic
-    radical = _radical_by_enumeration(p)
-    assert radical == coker
-    assert pairing_radical(p) == radical
+    _assert_torsion_sizes(_radical_by_enumeration(p), coker)
+    assert pairing_radical(p) == coker
 
 
 @st.composite
@@ -457,9 +471,8 @@ def skew_pairings(draw, max_order=4096, max_rank=4):
 def test_route_agreement_random(p):
     coker = pairing_cokernel(p)
     assert brute_cokernel(p) == coker
-    radical = _radical_by_enumeration(p)
-    assert radical == coker
-    assert pairing_radical(p) == radical
+    _assert_torsion_sizes(_radical_by_enumeration(p), coker)
+    assert pairing_radical(p) == coker
     assert is_nondegenerate(p) == coker.is_trivial()
     assert p.group.order % coker.order == 0
 
@@ -476,10 +489,10 @@ def test_e_matrix_matches_the_pairing_entries(p):
 
 
 def _cokernel_by_whole_group(p):
-    """Literal enumeration: the image from every a in G, then for every ghat in
-    Ghat the least k | exponent with k*ghat in the image.  Returns the image
-    and the quotient structure; the reference for brute_cokernel's closure
-    and counting lemma."""
+    """Literal enumeration: the image from every a in G, then for every k |
+    exponent the ghat in Ghat with k*ghat in the image, |H| per element of
+    A[k].  Returns the image and the sizes |A[k]|; the reference for
+    brute_cokernel's closure and counting lemma."""
     g = p.group
     o, r = g.orders, g.rank
     m = e_matrix(p)
@@ -487,16 +500,13 @@ def _cokernel_by_whole_group(p):
     for coords in g.coord_tuples():
         image.add(tuple(sum(m[i][j] * coords[j] for j in range(r)) % o[i] for i in range(r)))
     h = len(image)
-    divs = divisors(g.exponent)
-    counts = {}
-    for ghat in g.coord_tuples():
-        for k in divs:
-            if tuple(k * ghat[i] % o[i] for i in range(r)) in image:
-                counts[k] = counts.get(k, 0) + 1
-                break
-    assert all(c % h == 0 for c in counts.values())
-    counts = {k: c // h for k, c in counts.items()}
-    return image, AbGroupStructure(_factors_from_order_counts(counts))
+    sizes = {}
+    for k in _divisors_by_trial(g.exponent):
+        count = sum(tuple(k * x % oi for x, oi in zip(ghat, o)) in image
+                    for ghat in g.coord_tuples())
+        assert count % h == 0
+        sizes[k] = count // h
+    return image, sizes
 
 
 def _densest_pairing(orders):
@@ -518,10 +528,11 @@ def _decode(bits, orders):
 
 
 def _assert_matches_whole_group(p):
-    image, expected = _cokernel_by_whole_group(p)
+    image, sizes = _cokernel_by_whole_group(p)
     assert _decode(_image_closure(e_matrix(p), p.group.orders), p.group.orders) == image
-    assert brute_cokernel(p) == expected
-    return image, expected
+    coker = brute_cokernel(p)
+    _assert_torsion_sizes(sizes, coker)
+    return image, coker
 
 
 # in the last three, gcd(k, o_i) = 1 for some i at some k | exponent (k = 2 or 3),
@@ -531,7 +542,7 @@ def test_brute_cokernel_counting_mixed_orders(orders):
     p = _densest_pairing(orders)
     _, coker = _assert_matches_whole_group(p)
     assert coker == pairing_cokernel(p)
-    assert _radical_by_enumeration(p) == coker
+    _assert_torsion_sizes(_radical_by_enumeration(p), coker)
 
 
 def test_brute_cokernel_counting_zero_pairing():
@@ -540,7 +551,7 @@ def test_brute_cokernel_counting_zero_pairing():
         image, coker = _assert_matches_whole_group(p)
         assert len(image) == 1
         assert coker == AbGroupStructure.from_cyclic_orders(orders)
-        assert _radical_by_enumeration(p) == coker
+        _assert_torsion_sizes(_radical_by_enumeration(p), coker)
 
 
 def test_brute_cokernel_counting_nondegenerate():
@@ -558,7 +569,7 @@ def test_brute_cokernel_counting_nondegenerate():
     image, coker = _assert_matches_whole_group(p)
     assert len(image) == g.order
     assert coker.is_trivial()
-    assert _radical_by_enumeration(p).is_trivial()
+    _assert_torsion_sizes(_radical_by_enumeration(p), AbGroupStructure())
 
 
 @given(skew_pairings(max_order=1024))
@@ -628,15 +639,18 @@ def test_image_closure_bitset_matches_literal_span(case):
     assert _decode(bits, orders) == span_by_closure(columns, orders)
 
 
-@pytest.mark.parametrize("orders, value", [((10,) * 6, None), ((1000, 1000), QmodZ(1, 1000))])
+@pytest.mark.parametrize("orders, value", [
+    ((10,) * 6, None), ((1000, 1000), QmodZ(1, 1000)), ((7,) * 7, None), ((2,) * 19, None)])
 def test_brute_cokernel_at_the_enumeration_bound(orders, value):
     # order 10**6, the bound: the densest (Z/10)^6 pairing, and e(g1, g2) = 1/1000
-    # on (Z/1000)^2, whose columns have order 1000 and so take ten doublings
+    # on (Z/1000)^2, whose columns have order 1000 and so take ten doublings; the
+    # densest p-groups below it, (Z/7)^7 and (Z/2)^19, are the worst case, as
+    # there the whole group is one prime-power quotient
     if value is None:
         p = _densest_pairing(orders)
     else:
         p = Pairing(FinAbGroup(orders), ((QmodZ(0), value), (-value, QmodZ(0))))
-    assert p.group.order == 10**6
+    assert 5 * 10**5 < p.group.order <= 10**6
     tracemalloc.start()
     try:
         brute = brute_cokernel(p)
@@ -651,6 +665,32 @@ def test_brute_cokernel_at_the_enumeration_bound(orders, value):
         brute_cokernel(p)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 0.5, f"best of 3: {min(seconds):.2f} s"
+
+
+def test_brute_cokernel_closes_only_prime_power_quotients(monkeypatch):
+    # (Z/10)^6 closes Ghat/2Ghat and Ghat/5Ghat (2^6 and 5^6 bits), never the
+    # whole group of 10^6; zero_pairing((Z/8)^2) closes k = 2, 4 and 8
+    closure, widths = _image_closure, []
+
+    def counting(m, orders):
+        widths.append(math.prod(orders))
+        return closure(m, orders)
+
+    monkeypatch.setattr(finabgrp, "_image_closure", counting)
+    brute_cokernel(_densest_pairing((10,) * 6))
+    assert len(widths) == 2 and max(widths) <= 5**6, widths
+    widths.clear()
+    brute_cokernel(zero_pairing(FinAbGroup((8, 8))))
+    assert len(widths) == 3, widths
+
+
+def test_brute_cokernel_failed_check_raises(monkeypatch):
+    # an image without the identity is no subgroup: the oracle's own check,
+    # not a ValueError and not a wrong answer
+    monkeypatch.setattr(finabgrp, "_image_closure",
+                        lambda m, orders: _image_closure(m, orders) & ~1)
+    with pytest.raises(AssertionError, match=r"at p\^j = 3\^1"):
+        brute_cokernel(symplectic_pairing(3, 1))
 
 
 def test_brute_cokernel_reaches_no_smith_form():
@@ -677,7 +717,7 @@ def test_brute_cokernel_reaches_no_smith_form():
                 found.append(f"{name}: {ident}")
             elif ident in defs:
                 todo.append(ident)
-    assert {"_image_closure", "_factors_from_order_counts", "e_matrix"} <= reached
+    assert {"_image_closure", "factorint", "e_matrix"} <= reached
     assert "smith_normal_form" in banned
     assert not found, f"brute_cokernel reaches the Smith form: {', '.join(found)}"
 

@@ -177,9 +177,10 @@ def test_heis_pairing_nondegenerate(d):
 def test_heis_pairing_mixed_orders():
     p = heis_pairing((2, 4))
     g = len((2, 4))
+    mat = p.matrix  # `matrix` builds its QmodZ values on each read
     for i, di in enumerate((2, 4)):
-        assert p.matrix[i][g + i] == QmodZ(1, di)
-        assert p.matrix[g + i][i] == QmodZ(-1, di)
+        assert mat[i][g + i] == QmodZ(1, di)
+        assert mat[g + i][i] == QmodZ(-1, di)
     assert pairing_cokernel(p).is_trivial()
 
 
