@@ -37,9 +37,4 @@ def ord2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:
         raise ValueError("ord2 of zero is undefined")
-    n = abs(n)
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    return (n & -n).bit_length() - 1  # n & -n keeps the lowest set bit, for either sign

@@ -26,7 +26,7 @@ mixed-radix strides s_i = o_{i+1}*...*o_r.  Adding t to coordinate i
 rotates each block of o_i*s_i bits by t*s_i, two masked shifts; H + <c>
 grows by doubling, H <- H | (H + c) and c <- 2c, so it takes about
 log2(order of c) translates.  The largest bitset is the largest p-group
-quotient, at most the enumeration bound of 10^6 bits (125 KB).  The two
+quotient, at most MAX_ENUMERATION_ORDER = 10^6 bits (125 KB).  The two
 cokernel routes share no code past the generator matrix, so each serves as
 an oracle for the other.  Invariant factors are normalised by gcd and lcm.
 """
@@ -380,7 +380,10 @@ def _image_closure(m, orders) -> int:
     return image
 
 
-def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
+MAX_ENUMERATION_ORDER = 10**6  # bits in the largest bitset _image_closure may grow
+
+
+def brute_cokernel(pairing: Pairing) -> AbGroupStructure:
     """Cokernel by enumeration; independent of the Smith-form route.
 
     For each prime power k = p^j dividing the exponent it counts the elements
@@ -391,11 +394,13 @@ def brute_cokernel(pairing: Pairing, bound: int = 10**6) -> AbGroupStructure:
     so |A[k]| = prod gcd(k, o_i) / |H_k|, with |H_k| the bitset's bit count.
     Then |A[p^j]| / |A[p^(j-1)]| = p^(c_j), c_j the number of invariant
     factors divisible by p^j: the top c_j entries of a rank-long chain take a
-    factor p, and the prime is done at the first c_j = 0.
+    factor p, and the prime is done at the first c_j = 0.  |G| may not exceed
+    MAX_ENUMERATION_ORDER.
     """
     g = pairing.group
-    if g.order > bound:
-        raise ValueError(f"group of order {g.order} exceeds the enumeration bound {bound}")
+    if g.order > MAX_ENUMERATION_ORDER:
+        raise ValueError(f"group order {g.order} exceeds the enumeration limit "
+                         f"MAX_ENUMERATION_ORDER = {MAX_ENUMERATION_ORDER}")
     m = e_matrix(pairing)
     chain = [1] * g.rank  # ascending; a quotient of Ghat has at most rank factors
     for p, top in factorint(g.exponent).items():

@@ -63,10 +63,6 @@ class HeisElem:
         if self.x.group != self.f.group:
             raise ValueError("translation and character parts must share the type d")
 
-    @property
-    def d(self) -> tuple[int, ...]:
-        return self.x.group.orders
-
 
 def _char_units(f, x, orders, n: int) -> int:
     # <f, x> in units of 1/n, for n a multiple of every order; not reduced mod n
@@ -78,15 +74,11 @@ def heis_elem(d, scalar: QmodZ, x, f) -> HeisElem:
     return HeisElem(scalar, group.element(x), group.element(f))
 
 
-def _check_same_type(a: HeisElem, b: HeisElem):
-    if a.x.group != b.x.group:
-        raise ValueError("elements have different types d")
-
-
 def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     """(t,x,f)(s,y,g) = (t + s + <g,x>, x+y, f+g)."""
-    _check_same_type(a, b)
     j, t, s = a.x.group, a.scalar, b.scalar
+    if j != b.x.group:
+        raise ValueError("elements have different types d")
     m = math.lcm(*j.orders, t.den, s.den)
     phase = t.num * (m // t.den) + s.num * (m // s.den)
     phase += _char_units(b.f.coords, a.x.coords, j.orders, m)
@@ -244,10 +236,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-DEFAULT_CHAR_NORM_BOUND = 64
+MAX_CHAR_NORM_DIM = 64  # the sum builds N * dim Schrodinger matrices of dim columns each
 
 
-def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> int:
+def character_norm(d) -> int:
     """(1/|Q|) sum |trace|^2 over the finite quotient Q = mu_N x J x Jhat.
 
     N is the exponent of J; traces are read off permutation fixed points and
@@ -256,11 +248,12 @@ def character_norm(d, bound: int = DEFAULT_CHAR_NORM_BOUND) -> int:
     cyclotomic polynomial — the remainder must be an integer constant — and
     divided by |Q| = N * dim^2, which leaves an integer (Q is a finite group).
     It is 1 exactly when the representation is irreducible, as for every d.
+    prod(d) may not exceed MAX_CHAR_NORM_DIM.
     """
     j = FinAbGroup(tuple(d))
     dim = j.order
-    if dim > bound:
-        raise ValueError(f"type with dim {dim} exceeds the bound {bound}")
+    if dim > MAX_CHAR_NORM_DIM:
+        raise ValueError(f"dim {dim} exceeds the limit MAX_CHAR_NORM_DIM = {MAX_CHAR_NORM_DIM}")
     n = j.exponent
     total = [0] * n
     # Elements with x != 0 permute the basis without fixed points: their

@@ -125,33 +125,33 @@ def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
     return small_div and math.gcd(n + 1, q // 2) == 1
 
 
-def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
-    """Invariants of the class with elementary divisors (a1, a2) and x along delta.
-
-    Primitivity gcd(a1, x) = 1 pins div = gcd(2(n+1), a1); the square entering
-    the cokernel formula is 2*a1*a2.
-    """
+def _check_kum_class(n: int, a1: int, a2: int, x: int) -> None:
     if n < 2:
         raise ValueError("need n >= 2")
     if a1 < 1 or a2 < 1 or a2 % a1:
         raise ValueError("need 1 <= a1 | a2")
     if math.gcd(a1, x) != 1:
         raise ValueError("primitivity requires gcd(a1, x) = 1")
+
+
+def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
+    """Invariants of the class with elementary divisors (a1, a2) and x along delta.
+
+    Primitivity gcd(a1, x) = 1 pins div = gcd(2(n+1), a1); the square entering
+    the cokernel formula is 2*a1*a2.
+    """
+    _check_kum_class(n, a1, a2, x)
     return LineBundleInvariants(
         family=Family.KUM, div=math.gcd(2 * (n + 1), a1), q=2 * a1 * a2, n=n
     )
 
 
 def kum_cokernel_from_class(n: int, a1: int, a2: int, x: int) -> AbGroupStructure:
-    """(Z/b1)^2 + (Z/b2)^2 with b_i = gcd(n+1, a_i), cross-checked against
-    the (div, q) route evaluated at div = gcd(2(n+1), a1), q = 2*a1*a2."""
-    inv = kum_class_invariants(n, a1, a2, x)
-    b1 = math.gcd(n + 1, a1)
-    b2 = math.gcd(n + 1, a2)
-    result = AbGroupStructure.from_cyclic_orders((b1, b1, b2, b2))
-    if result != kum_cokernel(n, inv.div, inv.q):
-        raise AssertionError("class-route and (div,q)-route cokernels disagree")
-    return result
+    """(Z/b1)^2 + (Z/b2)^2 with b_i = gcd(n+1, a_i), the class formula alone;
+    the CLI and the three-way sweep compare it with the (div, q) route."""
+    _check_kum_class(n, a1, a2, x)
+    b1, b2 = math.gcd(n + 1, a1), math.gcd(n + 1, a2)
+    return AbGroupStructure.from_cyclic_orders((b1, b1, b2, b2))
 
 
 def og6_cokernel(div: int, q: int) -> AbGroupStructure:

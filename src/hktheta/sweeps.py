@@ -31,6 +31,7 @@ from .invariants import (
     Family,
     LineBundleInvariants,
     div0_kum,
+    kum_class_invariants,
     kum_cokernel,
     kum_cokernel_from_class,
     kum_is_heisenberg,
@@ -106,8 +107,9 @@ def _brute_standard_kum(n: int, b1: int, b2: int) -> AbGroupStructure:
 
 
 def sweep_kum_three_way() -> SweepResult:
-    """Class formula == (div,q) formula == brute force on the model pairing,
-    for 2 <= n <= 10, a1 | a2 <= 36 and x in {0, 1} with gcd(a1, x) = 1."""
+    """Class formula == (div,q) formula at the class's invariants == brute
+    force on the model pairing, for 2 <= n <= 10, a1 | a2 <= 36 and x in
+    {0, 1} with gcd(a1, x) = 1."""
 
     def outcomes():
         for n in range(2, 11):
@@ -116,12 +118,10 @@ def sweep_kum_three_way() -> SweepResult:
                     for x in (0, 1):
                         if math.gcd(a1, x) != 1:
                             continue
-                        b1 = math.gcd(n + 1, a1)
-                        b2 = math.gcd(n + 1, a2)
-                        from_class = kum_cokernel_from_class(n, a1, a2, x)
-                        closed = AbGroupStructure.from_cyclic_orders((b1, b1, b2, b2))
-                        brute = _brute_standard_kum(n, b1, b2)
-                        yield from_class == closed == brute
+                        inv = kum_class_invariants(n, a1, a2, x)
+                        brute = _brute_standard_kum(n, math.gcd(n + 1, a1), math.gcd(n + 1, a2))
+                        yield (kum_cokernel_from_class(n, a1, a2, x)
+                               == kum_cokernel(n, inv.div, inv.q) == brute)
 
     return _tally("kum three-way agreement", outcomes())
 

@@ -155,6 +155,29 @@ def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal check failed: class route and (div, q) route disagree: [3, 3] vs []\n"
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
+    # the (div, q) route planted to answer (7,): nontrivial, as the criterion
+    # wants at n = 2, q = 6, so only the CLI's comparison can catch it
+    planted = (
+        "import sys\n"
+        "import hktheta.cli as cli\n"
+        "import hktheta.invariants as invariants\n"
+        "from hktheta.finabgrp import AbGroupStructure\n"
+        "invariants.kum_cokernel = lambda n, div, q: AbGroupStructure((7,))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", planted,
+         "kummer", "--n", "2", "--a1", "1", "--a2", "3", "--x", "0"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    err = "internal check failed: class route and (div, q) route disagree: [3, 3] vs [7]\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 def test_kummer_route_conflicts(capsys):
     code, _, err = run_cli(capsys, "kummer", "--n", "2")
     assert code == 2 and "either" in err

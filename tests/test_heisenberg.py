@@ -338,10 +338,11 @@ def test_character_norm_nonchain_type():
     assert character_norm((2, 3)) == Fraction(1)
 
 
-def test_character_norm_bound():
-    with pytest.raises(ValueError):
-        character_norm((2,) * 7)  # dim 128 > default bound
-    assert character_norm((2,) * 7, bound=128) == Fraction(1)
+def test_character_norm_bound(monkeypatch):
+    with pytest.raises(ValueError, match="MAX_CHAR_NORM_DIM = 64"):
+        character_norm((2,) * 7)  # dim 128 > MAX_CHAR_NORM_DIM
+    monkeypatch.setattr("hktheta.heisenberg.MAX_CHAR_NORM_DIM", 128)
+    assert character_norm((2,) * 7) == Fraction(1)
 
 
 # ---------------------------------------------------------------------------

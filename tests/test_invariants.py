@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hktheta.arith import divisors
+from hktheta.arith import divisors, ord2
 from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
     MAX_H0_BITS,
@@ -49,6 +49,20 @@ def rank4_inv(e):
 )
 def test_div0_golden(n, div, expected):
     assert div0_kum(n, div) == expected
+
+
+def _ord2_by_division(n):
+    n, v = abs(n), 0
+    while n % 2 == 0:
+        n, v = n // 2, v + 1
+    return v
+
+
+def test_ord2_matches_division():
+    values = [*range(-300, 0), *range(1, 301), 3 * 2**70, -(2**100), 2**64 - 1, -(2**63)]
+    assert [ord2(n) for n in values] == [_ord2_by_division(n) for n in values]
+    with pytest.raises(ValueError):
+        ord2(0)
 
 
 def test_div0_validation():

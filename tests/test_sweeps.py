@@ -6,6 +6,8 @@ from collections import Counter
 import pytest
 
 from hktheta import lattices
+from hktheta.finabgrp import AbGroupStructure
+from hktheta.invariants import kum_cokernel
 from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
     SWEEPS,
@@ -46,6 +48,18 @@ def test_tensor_additivity_catches_a_wrong_tensor(monkeypatch):
     result = sweep_tensor_additivity()
     assert result.failed > 0
     assert result.passed + result.failed == 353
+
+
+def test_kum_three_way_counts_every_disagreement_of_the_div_q_route(monkeypatch):
+    # a (div, q) route wrong at n = 6 only, whichever module calls it: each of
+    # that n's 176 checks is a counted failure, and every other n still runs
+    def wrong(n, div, q):
+        return AbGroupStructure((7,)) if n == 6 else kum_cokernel(n, div, q)
+
+    monkeypatch.setattr("hktheta.invariants.kum_cokernel", wrong)
+    monkeypatch.setattr("hktheta.sweeps.kum_cokernel", wrong)
+    result = sweep_kum_three_way()
+    assert (result.passed, result.failed, result.witnesses) == (1584 - 176, 176, ())
 
 
 @pytest.mark.parametrize(
