@@ -1,10 +1,23 @@
 """Small exact number-theory helpers.  `factorint` and `divisors` use
 unbounded trial division, so they serve only bounded callers: the `finabgrp`
 enumeration oracle (factorint only, order <= 10**6), `heisenberg.cyclotomic_poly`
-(from `character_norm`, dim <= 64) and two fixed-range sweeps.
+(from `character_norm`, dim <= 64) and two fixed-range sweeps.  `int_tuple`
+refuses a float, Fraction or string that int() would truncate or parse.
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def int_tuple(values) -> tuple[int, ...]:
+    """The values as a tuple of ints; a non-integer raises a one-line ValueError naming it."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((x for x in values if not hasattr(x, "__index__")), values)
+        raise ValueError(f"expected an integer, got {bad!r}") from None
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 
-from .arith import factorint
+from .arith import factorint, int_tuple
 from .snf import smith_normal_form
 
 __all__ = [
@@ -93,7 +93,11 @@ class QmodZ:
     den: int = 1
 
     def __post_init__(self):
-        num, den = _reduced(int(self.num), int(self.den))
+        try:
+            num, den = _reduced(operator.index(self.num), operator.index(self.den))
+        except TypeError:
+            int_tuple((self.num, self.den))  # raises a ValueError naming the non-integer
+            raise
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -124,7 +128,7 @@ class FinAbGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(o) for o in self.orders)
+        orders = int_tuple(self.orders)
         if not orders:
             raise ValueError("at least one cyclic factor required")
         if any(o < 2 for o in orders):
@@ -144,7 +148,7 @@ class FinAbGroup:
         return math.lcm(*self.orders)
 
     def element(self, coords) -> "GroupElement":
-        return GroupElement(self, tuple(int(c) for c in coords))
+        return GroupElement(self, tuple(coords))
 
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.rank)
@@ -162,10 +166,10 @@ class GroupElement:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coords) != self.group.rank:
+        coords = int_tuple(self.coords)
+        if len(coords) != self.group.rank:
             raise ValueError("coordinate length must match the group rank")
-        reduced = tuple(int(c) % o for c, o in zip(self.coords, self.group.orders))
-        object.__setattr__(self, "coords", reduced)
+        object.__setattr__(self, "coords", tuple(map(operator.mod, coords, self.group.orders)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class AbGroupStructure:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        fac = tuple(int(d) for d in self.invariant_factors)
+        fac = int_tuple(self.invariant_factors)
         if any(d < 2 for d in fac):
             raise ValueError("invariant factors must be >= 2")
         if any(fac[i + 1] % fac[i] for i in range(len(fac) - 1)):
@@ -189,7 +193,7 @@ class AbGroupStructure:
         Carries each order down the chain by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b).
         The result is frozen, so equal order tuples share one memoised object.
         """
-        return _structure_from_cyclic_orders(tuple(orders))
+        return _structure_from_cyclic_orders(int_tuple(orders))
 
     def is_trivial(self) -> bool:
         return not self.invariant_factors
@@ -208,7 +212,6 @@ class AbGroupStructure:
 def _structure_from_cyclic_orders(orders: tuple) -> AbGroupStructure:
     chain: list[int] = []
     for o in orders:
-        o = int(o)
         if o < 1:
             raise ValueError("cyclic orders must be positive")
         if o == 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, neg
 
-from .arith import divisors
+from .arith import divisors, int_tuple
 from .finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
 
 __all__ = [
@@ -109,7 +109,7 @@ def heis_pairing(d) -> Pairing:
     matrix entries are h_commutator of the scalar-free lifts, with no closed
     form assumed.
     """
-    d = tuple(int(di) for di in d)
+    d = int_tuple(d)
     g = len(d)
     group = FinAbGroup(d + d)
     j = FinAbGroup(d)
@@ -289,7 +289,7 @@ def schrodinger_multiplicity(dim_v: int, d) -> int:
     """
     if dim_v < 0:
         raise ValueError("dimension must be nonnegative")
-    size = math.prod(tuple(int(di) for di in d))
+    size = math.prod(int_tuple(d))
     if dim_v % size:
         raise ValueError(f"dimension {dim_v} is not a multiple of {size}")
     return dim_v // size

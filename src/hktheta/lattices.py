@@ -10,8 +10,10 @@ integer arithmetic: the pairing v^T.gram.w, the divisibility gcd, orbit
 classification by (square, divisibility, mod-8 residue), and the
 wall-divisor splitting of square -2(n+1), divisibility 2(n+1) classes into
 a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
-gram.v runs over the nonzero Gram entries only (one per row here), and a
-classification validates its vector once and reads div and q from one gram.v.
+gram.v runs over the nonzero Gram entries only (one per row here).  A
+classification (og6_class) or a splitting (kum_orbit_split) validates its
+vector once, reads div and q from one gram.v, and runs its internal checks on
+the tuples it built itself, through gram.v, without validating them again.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
+from .arith import int_tuple
 from .snf import integer_det
 
 __all__ = [
@@ -54,7 +57,7 @@ class GramLattice:
     _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gram = tuple(tuple(int(x) for x in row) for row in self.gram)
+        gram = tuple(map(int_tuple, self.gram))
         r = len(gram)
         if r == 0 or any(len(row) != r for row in gram):
             raise ValueError("gram matrix must be square and nonempty")
@@ -116,7 +119,7 @@ def lambda_og6() -> GramLattice:
 
 
 def _as_vector(lat: GramLattice, v) -> tuple[int, ...]:
-    vec = tuple(map(int, v))
+    vec = int_tuple(v)
     if len(vec) != lat.rank:
         raise ValueError(f"vector length {len(vec)} does not match rank {lat.rank}")
     return vec
@@ -127,6 +130,10 @@ def _gram_times(lat: GramLattice, v: tuple[int, ...]) -> list[int]:
     for i, j, x in lat._entries:
         gv[i] += x * v[j]
     return gv
+
+
+def _square(lat: GramLattice, v: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, v, _gram_times(lat, v)))
 
 
 def _primitive(v: tuple[int, ...]) -> bool:
@@ -143,8 +150,7 @@ def bbf_pair(lat: GramLattice, v, w) -> int:
 
 def bbf_square(lat: GramLattice, v) -> int:
     """Square q(v) = bbf_pair(lat, v, v)."""
-    v = _as_vector(lat, v)
-    return sum(map(operator.mul, v, _gram_times(lat, v)))
+    return _square(lat, _as_vector(lat, v))
 
 
 def divisibility(lat: GramLattice, v) -> int:
@@ -248,8 +254,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     if any(c % two_n1 for c in v[:6]):
         raise AssertionError("U^3 part must be divisible by 2(n+1) at this divisibility")
     beta = tuple(c // two_n1 for c in v[:6])
-    k = bbf_square(_U3, beta)
-    if two_n1 * k != x0 * x0 - 1:
+    if two_n1 * _square(_U3, beta) != x0 * x0 - 1:
         raise AssertionError("square bookkeeping 2(n+1)*beta^2 = x0^2 - 1 failed")
     candidates = kum_split_candidates(n, x0)
     if len(candidates) != 1:
@@ -261,7 +266,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     c = (x0 + 1) // (2 * q)
     e = tuple(q * b for b in beta) + (a, a * (n + 1) - q * x0)
     f = tuple(p * b for b in beta) + (c, c * (n + 1) - p * x0)
-    if bbf_square(_U4, e) or bbf_square(_U4, f):
+    if _square(_U4, e) or _square(_U4, f):
         raise AssertionError("splitting witnesses must be isotropic")
     alpha_ambient = v[:6] + (x0, -(n + 1) * x0)
     if tuple(p * ei + q * fi for ei, fi in zip(e, f)) != alpha_ambient:

@@ -86,6 +86,27 @@ def _tally(name: str, outcomes) -> SweepResult:
     return SweepResult(name, passed, failed, time.perf_counter() - start, witnesses)
 
 
+@lru_cache(maxsize=None)
+def _byte_table(lo: int, hi: int) -> tuple[bytes, bytes]:
+    # byte b -> lo + b % span, stored as a signed byte; the bytes at or above
+    # the largest multiple of span are the ones to delete, so every value in
+    # [lo, hi] keeps exactly 256 // span preimages
+    span = hi - lo + 1
+    table = bytes((lo + b % span) & 0xFF for b in range(256))
+    return table, bytes(range(256 - 256 % span, 256))
+
+
+def _draw(rng: random.Random, lo: int, hi: int, k: int) -> memoryview:
+    """k seeded values, each uniform on [lo, hi] (-128 <= lo <= hi <= 127):
+    random bytes mapped and rejection-sampled by one bytes.translate, in C,
+    then read as signed bytes."""
+    table, rejected = _byte_table(lo, hi)
+    out = b""
+    while len(out) < k:
+        out += rng.randbytes(k - len(out) + k // 32 + 8).translate(table, rejected)
+    return memoryview(out[:k]).cast("b")
+
+
 def sweep_kum_criterion() -> SweepResult:
     """Cokernel triviality matches the closed-form Heisenberg criterion,
     for 2 <= n <= 12, every div | 2(n+1) and every q in [-200, 200] that
@@ -206,8 +227,8 @@ def sweep_tensor_additivity() -> SweepResult:
     """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
     n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
     pairings, the 16 pairs of generators and 40 seeded random pairs, whose
-    320 coordinates are drawn in one call.  Values are compared as integers
-    in units of 1/(n+1), the exponent of the group."""
+    320 coordinates are drawn uniformly on [0, n] from random bytes.  Values
+    are compared as integers in units of 1/(n+1), the exponent of the group."""
     rng = random.Random(11)
     gens = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     gen_pairs = list(product(gens, repeat=2))
@@ -218,8 +239,8 @@ def sweep_tensor_additivity() -> SweepResult:
             models = [standard_kum_pairing(n, b1, b2) for b1, b2 in product(divs, repeat=2)]
             for p1, p2 in product(models, repeat=2):
                 t = tensor_pairing(p1, p2)
-                c = rng.choices(range(n + 1), k=320)
-                pairs = gen_pairs + [(c[k:k + 4], c[k + 4:k + 8]) for k in range(0, 320, 8)]
+                quads = zip(*[iter(_draw(rng, 0, n, 320))] * 4)
+                pairs = gen_pairs + list(zip(quads, quads))
                 yield all(
                     (_pairing_units(t, a, b) - _pairing_units(p1, a, b)
                      - _pairing_units(p2, a, b)) % (n + 1) == 0
@@ -269,10 +290,10 @@ def sweep_orbit_split() -> SweepResult:
 
 def sweep_og6_trichotomy() -> SweepResult:
     """Random primitive vectors land in exactly one class, with div in {1,2}:
-    10,000 seeded vectors of 8 coordinates in [-10, 10], divided by their
-    gcd, drawn in blocks of up to 256 (the same random() sequence as one
-    call per vector).  The predicted class reads div and q off the explicit
-    Gram matrix of U^3 + <-2> + <-2> on (e1,f1,e2,f2,e3,f3,g1,g2):
+    10,000 seeded nonzero vectors of 8 coordinates uniform on [-10, 10],
+    drawn from random bytes in blocks of up to 1,000 vectors, each
+    imprimitive one divided by its gcd.  The predicted class reads div and q
+    off the explicit Gram matrix of U^3 + <-2> + <-2> on (e1,f1,e2,f2,e3,f3,g1,g2):
     div = gcd(e1, f1, e2, f2, e3, f3, 2g1, 2g2) and
     q = 2(e1f1 + e2f2 + e3f3 - g1^2 - g2^2); only og6_class goes through
     the lattices layer."""
@@ -281,25 +302,19 @@ def sweep_og6_trichotomy() -> SweepResult:
     def vectors():
         produced = 0
         while produced < 10_000:
-            c = rng.choices(range(-10, 11), k=8 * min(256, 10_000 - produced))
-            for k in range(0, len(c), 8):
-                v = c[k:k + 8]
-                if any(v):
-                    produced += 1
-                    g = math.gcd(*v)
-                    yield tuple(x // g for x in v)
+            c = _draw(rng, -10, 10, 8 * min(1_000, 10_000 - produced))
+            for v in filter(any, zip(*[iter(c)] * 8)):
+                produced += 1
+                g = math.gcd(*v)
+                yield v if g == 1 else tuple(x // g for x in v)
 
     def outcomes():
         for v in vectors():
             e1, f1, e2, f2, e3, f3, g1, g2 = v
             div = math.gcd(e1, f1, e2, f2, e3, f3, 2 * g1, 2 * g2)
             q = 2 * (e1 * f1 + e2 * f2 + e3 * f3 - g1 * g1 - g2 * g2)
-            branches = [div == 1, div == 2 and q % 8 == 6, div == 2 and q % 8 == 4]
-            if div not in (1, 2) or sum(branches) != 1:
-                yield False
-                continue
-            cls = og6_class(v)
-            yield cls.value == ("I", "II", "III")[branches.index(True)]
+            expected = "I" if div == 1 else {6: "II", 4: "III"}.get(q % 8) if div == 2 else None
+            yield expected is not None and og6_class(v).value == expected
 
     return _tally("og6 trichotomy", outcomes())
 

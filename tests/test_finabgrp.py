@@ -9,6 +9,7 @@ is checked against a literal enumeration of ker E.
 import ast
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -121,6 +122,28 @@ def test_group_validation():
         FinAbGroup((1, 2))
     with pytest.raises(ValueError):
         FinAbGroup((2,)).element((0, 0))
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: QmodZ(1.5, 2), "1.5"),
+        (lambda: QmodZ(1, Fraction(2)), "Fraction(2, 1)"),
+        (lambda: FinAbGroup((2.7, 3)), "2.7"),
+        (lambda: FinAbGroup((2, 3)).element((1.9, 2.2)), "1.9"),
+        (lambda: finabgrp.GroupElement(FinAbGroup((4,)), ("3",)), "'3'"),
+        (lambda: AbGroupStructure((2, 4.0)), "4.0"),
+        (lambda: AbGroupStructure.from_cyclic_orders((2.0, 4)), "2.0"),
+    ],
+    ids=["QmodZ", "QmodZ-den", "FinAbGroup", "element", "GroupElement", "AbGroupStructure",
+         "from_cyclic_orders"],
+)
+def test_non_integers_are_refused_not_truncated(build, bad):
+    # int() would have read 1.5 as 1, 2.7 as 2 and '3' as 3; the memoised
+    # from_cyclic_orders must refuse (2.0, 4) even once (2, 4) is cached
+    AbGroupStructure.from_cyclic_orders((2, 4))
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(bad)}$"):
+        build()
 
 
 def test_from_cyclic_orders_golden():

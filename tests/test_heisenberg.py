@@ -360,6 +360,18 @@ def test_schrodinger_multiplicity():
         schrodinger_multiplicity(-9, (3, 3))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: heis_pairing((2.5,)), lambda: schrodinger_multiplicity(4, (2.9,))],
+    ids=["heis_pairing", "schrodinger_multiplicity"],
+)
+def test_non_integer_types_are_refused_not_truncated(build):
+    # int() would have read (2.5,) as (2,), giving a (2, 2) pairing and a
+    # multiplicity of 2
+    with pytest.raises(ValueError, match=r"^expected an integer, got 2\.[59]$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # the integer-phase route against an independent Fraction reference
 

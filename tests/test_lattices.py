@@ -1,11 +1,13 @@
 """Gram lattices, squares/divisibilities, orbit classes, wall splittings."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hktheta import lattices
 from hktheta.lattices import (
     GramLattice,
     _kum_lattice,
@@ -52,6 +54,23 @@ def test_lattice_validation():
         GramLattice("bad", ((1, 1), (1, 1)), ("a", "b"))  # degenerate
     with pytest.raises(ValueError):
         GramLattice("bad", ((2,),), ("a", "b"))  # basis length mismatch
+
+
+@pytest.mark.parametrize(
+    "build, bad",
+    [
+        (lambda: GramLattice("bad", ((0, 1.0), (1, 0)), ("a", "b")), "1.0"),
+        (lambda: bbf_square(OG6, (0.5, 1, 0, 0, 0, 0, 0, 0)), "0.5"),
+        (lambda: og6_class((1.5, 0, 0, 0, 0, 0, 0, 0)), "1.5"),
+        (lambda: kum_orbit_split(2, (0, 0, 0, 0, 0, 0, 1.0)), "1.0"),
+    ],
+    ids=["GramLattice", "bbf_square", "og6_class", "kum_orbit_split"],
+)
+def test_non_integers_are_refused_not_truncated(build, bad):
+    # int() would have read bbf_square's vector as (0, 1, ...), of square 0,
+    # and og6_class's as e1, of class I
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(bad)}$"):
+        build()
 
 
 def test_determinants():
@@ -282,6 +301,18 @@ def test_orbit_split_small_scan():
                 _assert_split_consistent(n, v, split)
                 seen += 1
     assert seen > 40
+
+
+def test_orbit_split_validates_its_input_once(monkeypatch):
+    # the square bookkeeping and the isotropy checks run on tuples the split
+    # built itself, so only the input goes through _as_vector
+    calls = []
+    as_vector = lattices._as_vector
+    monkeypatch.setattr(lattices, "_as_vector", lambda lat, v: calls.append(v) or as_vector(lat, v))
+    for n, alpha in ((2, (12, 6, 0, 0, 0, 0, 5)), (7, (0,) * 6 + (1,))):
+        calls.clear()
+        kum_orbit_split(n, alpha)
+        assert calls == [alpha]
 
 
 def test_kum_lattice_memo_is_invisible():

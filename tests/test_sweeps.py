@@ -1,16 +1,19 @@
 """The sweeps of the battery that no acceptance criterion runs, and the battery's shape."""
 
 import inspect
+import random
 from collections import Counter
 
 import pytest
 
-from hktheta import lattices
+from hktheta import lattices, sweeps
 from hktheta.finabgrp import AbGroupStructure
 from hktheta.invariants import kum_cokernel
 from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
     SWEEPS,
+    _byte_table,
+    _draw,
     run_all,
     sweep_kum_three_way,
     sweep_og6_model,
@@ -71,7 +74,7 @@ def test_kum_three_way_counts_every_disagreement_of_the_div_q_route(monkeypatch)
     ids=["swap-II-III", "I-to-II"],
 )
 def test_og6_trichotomy_catches_a_wrong_class(monkeypatch, wrong):
-    # the seeded sample (I/II/III = 9,847/103/50) holds vectors of every class,
+    # the seeded sample (I/II/III = 9,856/101/43) holds vectors of every class,
     # so a classifier that confuses any two of them fails some checks
     monkeypatch.setattr("hktheta.sweeps.og6_class", lambda v: wrong.get(og6_class(v), og6_class(v)))
     result = sweep_og6_trichotomy()
@@ -90,7 +93,7 @@ def test_og6_trichotomy_sample_is_fixed(monkeypatch):
 
     monkeypatch.setattr("hktheta.sweeps.og6_class", counting)
     assert sweep_og6_trichotomy().passed == 10_000
-    assert seen == {OG6Class.I: 9_847, OG6Class.II: 103, OG6Class.III: 50}
+    assert seen == {OG6Class.I: 9_856, OG6Class.II: 101, OG6Class.III: 43}
 
 
 def test_og6_trichotomy_does_not_share_the_gram_product(monkeypatch):
@@ -127,3 +130,64 @@ def test_an_exception_inside_a_sweep_fails_it_and_the_battery_goes_on(monkeypatc
     assert trichotomy.failed >= 1
     assert len(trichotomy.witnesses) == 1
     assert trichotomy.witnesses[0].startswith("AssertionError: ")
+
+
+# ---------------------------------------------------------------------------
+# seeded draws from random bytes
+
+
+@pytest.mark.parametrize("lo, hi, k", [(0, 2, 320), (0, 5, 1), (-10, 10, 8_000), (-128, 127, 300)])
+def test_draw_has_length_k_and_stays_in_range(lo, hi, k):
+    values = _draw(random.Random(lo * k), lo, hi, k)
+    assert len(values) == k
+    assert all(lo <= x <= hi for x in values)
+    if k >= 16 * (hi - lo + 1):  # then every value shows up
+        assert set(values) == set(range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2), (0, 3), (0, 5), (-10, 10)])
+def test_every_value_has_the_same_number_of_kept_bytes(lo, hi):
+    # spans 3, 4, 6 and 21: a kept byte b maps to the signed byte table[b]
+    table, rejected = _byte_table(lo, hi)
+    preimages = Counter(
+        (table[b] ^ 0x80) - 0x80 for b in range(256) if b not in rejected
+    )
+    span = hi - lo + 1
+    assert sorted(preimages) == list(range(lo, hi + 1))
+    assert set(preimages.values()) == {256 // span}
+    assert len(rejected) == 256 % span
+
+
+def test_one_seed_gives_one_draw():
+    assert _draw(random.Random(5), -10, 10, 64) == _draw(random.Random(5), -10, 10, 64)
+    assert _draw(random.Random(5), -10, 10, 64) != _draw(random.Random(6), -10, 10, 64)
+
+
+def test_draw_refills_after_a_block_of_rejected_bytes():
+    class Stub:
+        # the first block is all 255, which span 3 rejects (255 = 3 * 85)
+        def __init__(self):
+            self.sizes = []
+
+        def randbytes(self, n):
+            self.sizes.append(n)
+            return bytes([255] * n) if len(self.sizes) == 1 else bytes(range(n))
+
+    stub = Stub()
+    assert _draw(stub, 0, 2, 10).tolist() == [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+    assert len(stub.sizes) == 2
+
+
+@pytest.mark.parametrize("sweep", [sweep_og6_trichotomy, sweep_tensor_additivity])
+def test_seeded_sweeps_make_no_random_calls(monkeypatch, sweep):
+    # the coordinates come from random bytes in C, not one random() per value
+    calls = Counter()
+
+    class Counting(random.Random):
+        def random(self):
+            calls["random"] += 1
+            return super().random()
+
+    monkeypatch.setattr(sweeps.random, "Random", Counting)
+    assert sweep().failed == 0
+    assert calls["random"] == 0
