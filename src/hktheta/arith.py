@@ -3,11 +3,58 @@ unbounded trial division, so they serve only bounded callers: the `finabgrp`
 enumeration oracle (factorint only, order <= 10**6), `heisenberg.cyclotomic_poly`
 (from `character_norm`, dim <= 64) and two fixed-range sweeps.  `int_tuple`
 refuses a float, Fraction or string that int() would truncate or parse.
+`Record` is the base of the package's immutable value types.
 """
 
 from __future__ import annotations
 
 import operator
+
+
+class Record:
+    """Immutable value type in place of a frozen dataclass: a subclass lists its
+    fields in __slots__ and sets them in its own __init__ (object.__setattr__ or
+    _set).  Equality, hash, repr and _asdict read _fields (by default every slot);
+    records of different classes are never equal; assignment and del raise."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, *values):
+        """Set the fields to the values, in __slots__ order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):
+        # pickle and copy hand the slots over as (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def int_tuple(values) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
 
 from .finabgrp import (
     QmodZ,
@@ -166,8 +165,7 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
     if n is None:
         raise ValueError("orbit splitting is defined on kum:<n> lattices")
     split = kum_orbit_split(n, vec)
-    record = {f.name: getattr(split, f.name) for f in fields(split)}
-    record = {k: list(v) if isinstance(v, tuple) else v for k, v in record.items()}
+    record = {k: list(v) if isinstance(v, tuple) else v for k, v in split._asdict().items()}
     return record, _report_lines(record)
 
 
@@ -215,7 +213,7 @@ def _cmd_sweep(args) -> tuple[list, list[str]]:
     results = run_all() if args.only is None else [
         next(s for s in SWEEPS if s.__name__ == f"sweep_{args.only}")()]
     # a record carries "witnesses" only when the sweep has some
-    record = [{k: v for k, v in asdict(r).items() if k != "witnesses" or v} for r in results]
+    record = [{k: v for k, v in r._asdict().items() if k != "witnesses" or v} for r in results]
     total = SweepResult("total", sum(r.passed for r in results),
                         sum(r.failed for r in results), sum(r.seconds for r in results))
     lines = []

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 
-from .arith import factorint, int_tuple
+from .arith import Record, factorint, int_tuple
 from .snf import smith_normal_form
 
 __all__ = [
@@ -85,12 +84,15 @@ def _parse_fraction(text: str) -> tuple[int, int]:
     return _reduced(int(s), 1)
 
 
-@dataclass(frozen=True)
-class QmodZ:
+class QmodZ(Record):
     """Element of Q/Z as a reduced fraction num/den with 0 <= num < den."""
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        self.__post_init__()
 
     def __post_init__(self):
         try:
@@ -121,14 +123,13 @@ class QmodZ:
         return f"{self.num}/{self.den}"
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Direct product of cyclic groups; orders[i] is the order of generator i."""
 
-    orders: tuple[int, ...]
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        orders = int_tuple(self.orders)
+    def __init__(self, orders: tuple[int, ...]):
+        orders = int_tuple(orders)
         if not orders:
             raise ValueError("at least one cyclic factor required")
         if any(o < 2 for o in orders):
@@ -160,10 +161,13 @@ class FinAbGroup:
         return product(*(range(o) for o in self.orders))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FinAbGroup
-    coords: tuple[int, ...]
+class GroupElement(Record):
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         coords = int_tuple(self.coords)
@@ -172,14 +176,13 @@ class GroupElement:
         object.__setattr__(self, "coords", tuple(map(operator.mod, coords, self.group.orders)))
 
 
-@dataclass(frozen=True)
-class AbGroupStructure:
+class AbGroupStructure(Record):
     """Invariant-factor form d_1 | d_2 | ... | d_k of a finite abelian group."""
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        fac = int_tuple(self.invariant_factors)
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
+        fac = int_tuple(invariant_factors)
         if any(d < 2 for d in fac):
             raise ValueError("invariant factors must be >= 2")
         if any(fac[i + 1] % fac[i] for i in range(len(fac) - 1)):
@@ -231,8 +234,7 @@ def _square(rows, r: int):
     return rows
 
 
-@dataclass(frozen=True, init=False)
-class Pairing:
+class Pairing(Record):
     """Skew biadditive form on a finite abelian group, by values on generators.
 
     e(gen_i, gen_j) is stored only in integer units of 1/exponent: whole
@@ -244,9 +246,8 @@ class Pairing:
     (num, den) pairs to the same integer checks (_of).
     """
 
-    group: FinAbGroup
-    _units: tuple[tuple[int, ...], ...]
-    _entries: tuple[tuple[int, int, int], ...] = field(repr=False, compare=False)
+    __slots__ = ("group", "_units", "_entries")
+    _fields = ("group", "_units")
 
     def __init__(self, group: FinAbGroup, matrix):
         rows = _square(matrix, group.rank)
@@ -274,9 +275,7 @@ class Pairing:
                     raise ValueError(
                         f"entry {num}/{den} at ({i},{j}) is incompatible with generator orders")
         units = tuple(tuple(num * (n // den) for num, den in row) for row in fracs)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "_units", units)
-        object.__setattr__(self, "_entries", tuple(
+        self._set(group, units, tuple(
             (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
 
     @property
@@ -343,7 +342,7 @@ def pairing_radical(pairing: Pairing) -> AbGroupStructure:
     Dualizing the exact sequence 0 -> ker E -> G -> Ghat -> coker E -> 0
     gives ker(E^) = (coker E)^, where E^ : G -> Ghat is the dual map
     E^(a)(b) = E(b)(a) = e(b, a).  The hypothesis is skewness, which
-    Pairing.__post_init__ enforces: e(b, a) = -e(a, b), so E^ = -E and
+    Pairing's constructor enforces: e(b, a) = -e(a, b), so E^ = -E and
     ker E = ker(E^) = (coker E)^.  A finite abelian group is isomorphic to
     its dual, so the radical has the invariant factors of the cokernel.
     """
@@ -501,22 +500,28 @@ def pairing_to_dict(pairing: Pairing) -> dict:
 
 
 MAX_PAIRING_RANK = 100  # the Smith form costs about rank^3 operations
+MAX_EXPONENT_BITS = 1024  # each of them costs about bits^2: entries stay below the exponent
 
 
 def pairing_from_dict(obj) -> Pairing:
     """Inverse of pairing_to_dict; malformed documents, and documents of rank
-    above MAX_PAIRING_RANK, raise ValueError.  The rank and the matrix shape
-    are checked before any entry is read; each "a/b" is read straight into
-    a reduced integer pair."""
+    above MAX_PAIRING_RANK or exponent above 2^MAX_EXPONENT_BITS, raise
+    ValueError.  The group (its rank, then its exponent, as a running lcm) and
+    the matrix shape are checked before any entry is read; each "a/b" is
+    read straight into a reduced integer pair."""
     try:
         orders = tuple(obj["orders"])
         if len(orders) > MAX_PAIRING_RANK:
             raise ValueError(f"pairing rank {len(orders)} exceeds the limit {MAX_PAIRING_RANK}")
+        # JSON floats such as 2.9 or 1e400 (inf) are not orders, and neither are bools
+        bad = [o for o in orders if type(o) is not int]
+        if bad:
+            raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
+        group = FinAbGroup(orders)
+        if any(e.bit_length() > MAX_EXPONENT_BITS for e in accumulate(group.orders, math.lcm)):
+            raise ValueError(f"pairing exponent exceeds the limit MAX_EXPONENT_BITS = "
+                             f"{MAX_EXPONENT_BITS} bits")
         fracs = [[_parse_fraction(s) for s in row] for row in _square(obj["matrix"], len(orders))]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc
-    # JSON floats such as 2.9 or 1e400 (inf) are not orders, and neither are bools
-    bad = [o for o in orders if type(o) is not int]
-    if bad:
-        raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
-    return Pairing._of(FinAbGroup(orders), fracs)
+    return Pairing._of(group, fracs)

@@ -26,11 +26,10 @@ exact reduction modulo the N-th cyclotomic polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, neg
 
-from .arith import divisors, int_tuple
+from .arith import Record, divisors, int_tuple
 from .finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
 
 __all__ = [
@@ -51,17 +50,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeisElem:
+class HeisElem(Record):
     """Element (scalar, x, f): central phase, translation part, character part."""
 
-    scalar: QmodZ
-    x: GroupElement
-    f: GroupElement
+    __slots__ = ("scalar", "x", "f")
 
-    def __post_init__(self):
-        if self.x.group != self.f.group:
+    def __init__(self, scalar: QmodZ, x: GroupElement, f: GroupElement):
+        if x.group != f.group:
             raise ValueError("translation and character parts must share the type d")
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "f", f)
 
 
 def _char_units(f, x, orders, n: int) -> int:
@@ -127,30 +126,25 @@ def heis_pairing(d) -> Pairing:
     return Pairing(group, matrix)
 
 
-@dataclass(frozen=True)
-class GenPermMatrix:
+class GenPermMatrix(Record):
     """Matrix with exactly one root-of-unity entry per column.
 
     Column y holds exp(2 pi i phases[y] / modulus) in row perm[y] and zeros
     elsewhere; construction reduces the int phases to the least modulus.
     """
 
-    dim: int
-    perm: tuple[int, ...]
-    phases: tuple[int, ...]
-    modulus: int
+    __slots__ = ("dim", "perm", "phases", "modulus")
 
-    def __post_init__(self):
-        if len(self.perm) != self.dim or len(self.phases) != self.dim:
+    def __init__(self, dim: int, perm: tuple[int, ...], phases: tuple[int, ...], modulus: int):
+        if len(perm) != dim or len(phases) != dim:
             raise ValueError("perm and phases must have length dim")
-        if sorted(self.perm) != list(range(self.dim)):
+        if sorted(perm) != list(range(dim)):
             raise ValueError("perm must be a bijection on 0..dim-1")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("phase modulus must be positive")
-        g = math.gcd(self.modulus, *self.phases)
-        m = self.modulus // g
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "phases", tuple([p // g % m for p in self.phases]))
+        g = math.gcd(modulus, *phases)
+        m = modulus // g
+        self._set(dim, perm, tuple([p // g % m for p in phases]), m)
 
 
 def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:

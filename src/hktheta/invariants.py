@@ -17,10 +17,9 @@ insists they agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .arith import ord2
+from .arith import Record, ord2
 from .finabgrp import AbGroupStructure
 from .heisenberg import schrodinger_multiplicity
 
@@ -51,38 +50,35 @@ class Family(Enum):
     RANK4 = "rank4"
 
 
-@dataclass(frozen=True)
-class LineBundleInvariants:
+class LineBundleInvariants(Record):
     """Numerical invariants (family, div, q, n?) of a primitive class."""
 
-    family: Family
-    div: int
-    q: int
-    n: int | None = None
+    __slots__ = ("family", "div", "q", "n")
 
-    def __post_init__(self):
-        if self.q % 2:
+    def __init__(self, family: Family, div: int, q: int, n: int | None = None):
+        if q % 2:
             raise ValueError("the square q is always even; odd input rejected")
-        if self.div < 1:
+        if div < 1:
             raise ValueError("divisibility must be positive")
-        if self.family is Family.KUM:
-            if self.n is None or self.n < 2:
+        if family is Family.KUM:
+            if n is None or n < 2:
                 raise ValueError("KUM requires n >= 2")
-            if (2 * (self.n + 1)) % self.div:
-                raise ValueError(f"divisibility {self.div} must divide {2 * (self.n + 1)}")
-        elif self.family is Family.OG6:
-            if self.n is not None:
+            if (2 * (n + 1)) % div:
+                raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
+        elif family is Family.OG6:
+            if n is not None:
                 raise ValueError("OG6 takes no parameter n")
-            if self.div not in (1, 2):
+            if div not in (1, 2):
                 raise ValueError("OG6 divisibility must be 1 or 2")
-            if self.div == 2 and self.q % 8 not in (4, 6):
+            if div == 2 and q % 8 not in (4, 6):
                 raise ValueError("OG6 divisibility 2 forces q = -2 or -4 mod 8")
         else:
-            if self.n is not None:
+            if n is not None:
                 raise ValueError("RANK4 takes no parameter n")
-            if self.div != 2:
+            if div != 2:
                 raise ValueError("RANK4 sheaves have divisibility 2")
-            rank4_a(self.q)  # validates q > 0 and q = -6 mod 16
+            rank4_a(q)  # validates q > 0 and q = -6 mod 16
+        self._set(family, div, q, n)
 
 
 def div0_kum(n: int, div: int) -> int:
@@ -218,17 +214,16 @@ def riemann_roch(inv: LineBundleInvariants) -> int:
     return h0
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(Record):
     """Aggregate answer: cokernel, Heisenberg verdict, and section data."""
 
-    invariants: LineBundleInvariants
-    div0: int | None
-    m: int | None
-    cokernel: AbGroupStructure
-    is_heisenberg: bool
-    h0: int | None
-    schrodinger_multiplicity: int | None
+    __slots__ = ("invariants", "div0", "m", "cokernel", "is_heisenberg", "h0",
+                 "schrodinger_multiplicity")
+
+    def __init__(self, invariants: LineBundleInvariants, div0: int | None, m: int | None,
+                 cokernel: AbGroupStructure, is_heisenberg: bool, h0: int | None,
+                 schrodinger_multiplicity: int | None):
+        self._set(invariants, div0, m, cokernel, is_heisenberg, h0, schrodinger_multiplicity)
 
 
 def theta_report(inv: LineBundleInvariants) -> ThetaReport:

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .arith import int_tuple
+from .arith import Record, int_tuple
 from .snf import integer_det
 
 __all__ = [
@@ -46,29 +45,25 @@ __all__ = [
 _U = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Record):
     """Free Z-module with a fixed basis and a nondegenerate symmetric Gram matrix."""
 
-    name: str
-    gram: tuple[tuple[int, ...], ...]
-    basis: tuple[str, ...]
-    # the nonzero entries (i, j, gram[i][j]), filled in once validated
-    _entries: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    # _entries: the nonzero entries (i, j, gram[i][j]), filled in once validated
+    __slots__ = ("name", "gram", "basis", "_entries")
+    _fields = ("name", "gram", "basis")
 
-    def __post_init__(self):
-        gram = tuple(map(int_tuple, self.gram))
+    def __init__(self, name: str, gram: tuple[tuple[int, ...], ...], basis: tuple[str, ...]):
+        gram = tuple(map(int_tuple, gram))
         r = len(gram)
         if r == 0 or any(len(row) != r for row in gram):
             raise ValueError("gram matrix must be square and nonempty")
         if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(r)):
             raise ValueError("gram matrix must be symmetric")
-        if len(self.basis) != r:
+        if len(basis) != r:
             raise ValueError("basis labels must match the rank")
         if integer_det([list(row) for row in gram]) == 0:
             raise ValueError("gram matrix must be nondegenerate")
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_entries", tuple(
+        self._set(name, gram, basis, tuple(
             (i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x))
 
     @property
@@ -198,8 +193,7 @@ def og6_class(v) -> OG6Class:
     raise AssertionError(f"primitive vector with divisibility {div}")
 
 
-@dataclass(frozen=True)
-class OrbitInvariant:
+class OrbitInvariant(Record):
     """Wall-divisor splitting data: alpha = 2(n+1)*beta + x0*delta = p*e + q*f.
 
     beta is the U^3 component (6 coordinates); e and f are the isotropic
@@ -207,12 +201,11 @@ class OrbitInvariant:
     in which delta = e4 - (n+1)*f4.
     """
 
-    x0: int
-    p: int
-    q: int
-    beta: tuple[int, ...]
-    e: tuple[int, ...]
-    f: tuple[int, ...]
+    __slots__ = ("x0", "p", "q", "beta", "e", "f")
+
+    def __init__(self, x0: int, p: int, q: int, beta: tuple[int, ...], e: tuple[int, ...],
+                 f: tuple[int, ...]):
+        self._set(x0, p, q, beta, e, f)
 
 
 def kum_split_candidates(n: int, x0: int) -> list[tuple[int, int]]:

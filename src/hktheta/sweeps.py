@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .arith import divisors
+from .arith import Record, divisors
 from .finabgrp import (
     AbGroupStructure,
     OG6PairingCase,
@@ -57,15 +56,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """A sweep's counts and seconds; witnesses name an exception that ended it."""
 
-    name: str
-    passed: int
-    failed: int
-    seconds: float
-    witnesses: tuple[str, ...] = ()
+    __slots__ = ("name", "passed", "failed", "seconds", "witnesses")
+
+    def __init__(self, name: str, passed: int, failed: int, seconds: float,
+                 witnesses: tuple[str, ...] = ()):
+        self._set(name, passed, failed, seconds, witnesses)
 
 
 def _tally(name: str, outcomes) -> SweepResult:

@@ -3,7 +3,14 @@
 import math
 from fractions import Fraction
 
-from hktheta.finabgrp import MAX_PAIRING_RANK, FinAbGroup, GroupElement, Pairing, QmodZ
+from hktheta.finabgrp import (
+    MAX_EXPONENT_BITS,
+    MAX_PAIRING_RANK,
+    FinAbGroup,
+    GroupElement,
+    Pairing,
+    QmodZ,
+)
 
 
 def symplectic_pairing(m: int, npairs: int) -> Pairing:
@@ -65,15 +72,23 @@ def pairing_from_dict_by_qmodz(obj) -> Pairing:
 
     Each entry is parsed by QmodZ.parse and the matrix handed to
     Pairing(FinAbGroup(orders), matrix), as documents were read before they
-    went straight into integer pairs.  The one step added to that route is
-    the shape check, made before any entry is read: `rank` lists of `rank`
-    entries, where strings and dicts are not rows.
+    went straight into integer pairs.  The steps added to that route are
+    made before any entry is read: the order checks (type, FinAbGroup, then
+    its exponent against MAX_EXPONENT_BITS) and the shape check, `rank` lists
+    of `rank` entries, where strings and dicts are not rows.
     """
     try:
         orders = tuple(obj["orders"])
         r = len(orders)
         if r > MAX_PAIRING_RANK:
             raise ValueError(f"pairing rank {r} exceeds the limit {MAX_PAIRING_RANK}")
+        bad = [o for o in orders if type(o) is not int]
+        if bad:
+            raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
+        group = FinAbGroup(orders)
+        if group.exponent.bit_length() > MAX_EXPONENT_BITS:
+            raise ValueError(f"pairing exponent exceeds the limit MAX_EXPONENT_BITS = "
+                             f"{MAX_EXPONENT_BITS} bits")
         rows = obj["matrix"]
         if not isinstance(rows, (list, tuple)) or len(rows) != r or any(
                 not isinstance(row, (list, tuple)) or len(row) != r for row in rows):
@@ -81,10 +96,7 @@ def pairing_from_dict_by_qmodz(obj) -> Pairing:
         matrix = tuple(tuple(QmodZ.parse(s) for s in row) for row in rows)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc
-    bad = [o for o in orders if type(o) is not int]
-    if bad:
-        raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
-    return Pairing(FinAbGroup(orders), matrix)
+    return Pairing(group, matrix)
 
 
 def span_by_closure(columns, orders) -> set[tuple[int, ...]]:

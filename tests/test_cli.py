@@ -24,6 +24,7 @@ import hktheta.cli as cli
 import hktheta.finabgrp as finabgrp
 from hktheta.cli import main
 from hktheta.finabgrp import (
+    MAX_EXPONENT_BITS,
     MAX_PAIRING_RANK,
     AbGroupStructure,
     OG6PairingCase,
@@ -268,6 +269,15 @@ def test_lattice_orbit(capsys):
     assert code == 1 and "kum" in err
 
 
+def test_lattice_orbit_json_keeps_its_key_order(capsys):
+    # the record is read off OrbitInvariant's fields in declaration order
+    code, out, _ = run_cli(capsys, "lattice", "orbit", "--lattice", "kum:2", "--vector", DELTA2,
+                           "--json")
+    assert code == 0
+    assert out == ('{"x0": 1, "p": 3, "q": 1, "beta": [0, 0, 0, 0, 0, 0], '
+                   '"e": [0, 0, 0, 0, 0, 0, 0, -1], "f": [0, 0, 0, 0, 0, 0, 1, 0]}\n')
+
+
 def test_lattice_orbit_huge_n_finishes():
     # listing the divisors of n+1 = 10**18 + 9 (a prime) by trial division took over 30 s
     proc = subprocess.run(
@@ -403,6 +413,47 @@ def test_pairing_rank_limit(capsys, tmp_path):
     widest.write_text(json.dumps({"orders": [2] * r, "matrix": [["0/1"] * r] * r}))
     code, out, _ = run_cli(capsys, "pairing", "nondeg", "--file", str(widest))
     assert (code, out) == (0, "false\n")
+
+
+_EXPONENT_ERROR = (f"error: pairing exponent exceeds the limit MAX_EXPONENT_BITS = "
+                   f"{MAX_EXPONENT_BITS} bits\n")
+
+
+@pytest.mark.parametrize("orders", [
+    [10**3000 + i for i in range(8)],  # each order alone far past the limit
+    [10**299 + i for i in range(100)],  # each under it, their lcm far past it
+    [2**MAX_EXPONENT_BITS],  # one bit past
+    [3**400, 2**400],  # 635 and 401 bits, coprime: the exponent is their product
+], ids=["8x3000-digits", "100x300-digits", "one-bit-past", "coprime-pair"])
+def test_pairing_exponent_limit(capsys, tmp_path, orders):
+    # an 8 x 8 zero document of 3000-digit orders ran the Smith form for 67 s
+    # before printing failed at the 4300-digit conversion limit
+    r = len(orders)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"orders": orders, "matrix": [["0/1"] * r] * r}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "pairing", "cokernel", "--file", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (1, "", _EXPONENT_ERROR)
+
+
+def test_pairing_at_the_exponent_limit_answers(capsys, tmp_path):
+    n = 2**MAX_EXPONENT_BITS - 1  # exponent of exactly MAX_EXPONENT_BITS bits
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"orders": [n, n], "matrix": [["0/1"] * 2] * 2}))
+    assert run_cli(capsys, "pairing", "cokernel", "--file", str(zero)) == (
+        0, f"Z/{n} x Z/{n}\n", "")
+    # a dense pairing on (Z/n)^4 with entries near n: the Smith form still finishes
+    u = [n // 3, n // 5 + 1, n // 7 + 2, n // 11 + 3, n // 13 + 4, n // 17 + 5]
+    upper = [[0, u[0], u[1], u[2]], [0, 0, u[3], u[4]], [0, 0, 0, u[5]], [0, 0, 0, 0]]
+    matrix = [[f"{upper[i][j] if i < j else -upper[j][i]}/{n}" for j in range(4)]
+              for i in range(4)]
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"orders": [n] * 4, "matrix": matrix}))
+    code, out, err = run_cli(capsys, "pairing", "cokernel", "--file", str(dense), "--json")
+    assert (code, err) == (0, "")
+    factors = json.loads(out)["cokernel"]  # a skew form's come in equal pairs
+    assert factors and all(n % d == 0 for d in factors) and factors[0::2] == factors[1::2]
 
 
 def test_pairing_wide_document_finishes(tmp_path, wide_pairing_doc):
@@ -729,6 +780,21 @@ def test_sweep_prints_and_records_witnesses(capsys, monkeypatch):
          "witnesses": ["AssertionError: planted"]},
         {"name": "beta", "passed": 5, "failed": 0, "seconds": 0.5},
     ]
+
+
+def test_sweep_json_keeps_its_key_order(capsys, monkeypatch):
+    # one record per sweep, in SweepResult's field order; witnesses only when present
+    ok = [SweepResult("alpha", 10, 0, 0.25)]
+    monkeypatch.setattr("hktheta.cli.run_all", lambda: ok)
+    assert run_cli(capsys, "sweep", "--json") == (
+        0, '[{"name": "alpha", "passed": 10, "failed": 0, "seconds": 0.25}]\n', "")
+    witnessed = [SweepResult("alpha", 4, 1, 0.25, ("AssertionError: planted",)),
+                 SweepResult("beta", 5, 0, 0.5)]
+    monkeypatch.setattr("hktheta.cli.run_all", lambda: witnessed)
+    assert run_cli(capsys, "sweep", "--json") == (
+        1, '[{"name": "alpha", "passed": 4, "failed": 1, "seconds": 0.25, '
+           '"witnesses": ["AssertionError: planted"]}, '
+           '{"name": "beta", "passed": 5, "failed": 0, "seconds": 0.5}]\n', "")
 
 
 def test_sweep_only_runs_one_sweep(capsys, monkeypatch):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hktheta import finabgrp
 from hktheta.arith import divisors
 from hktheta.finabgrp import (
+    MAX_EXPONENT_BITS,
     AbGroupStructure,
     FinAbGroup,
     OG6PairingCase,
@@ -884,6 +885,20 @@ def test_integer_routes_build_no_qmodz(monkeypatch):
     assert tensor_pairing(og6, zero_pairing(og6.group)) == og6
     assert built == []
     assert p.matrix[0][1] == QmodZ(1, 3) and len(built) == 16 + 1
+
+
+def test_pairing_document_exponent_is_checked_before_any_entry():
+    # orders no JSON text could carry: the running lcm stops at the first
+    # order past the limit, and no entry (here, none is valid) is read
+    start = time.perf_counter()
+    for orders in ([10**5000, 2], [2, 3**2000], [7**300 + 2 * i for i in range(100)]):
+        with pytest.raises(ValueError, match=f"MAX_EXPONENT_BITS = {MAX_EXPONENT_BITS} bits"):
+            pairing_from_dict({"orders": orders, "matrix": "not read"})
+    assert time.perf_counter() - start < 0.5
+    top = 2 ** (MAX_EXPONENT_BITS - 1)
+    p = pairing_from_dict({"orders": [top, 2], "matrix": [["0/1", "1/2"], ["1/2", "0/1"]]})
+    assert p.group.exponent.bit_length() == MAX_EXPONENT_BITS
+    assert pairing_cokernel(p) == AbGroupStructure((top // 2,))  # Ghat / <(top/2, 0), (0, 1)>
 
 
 def test_pairing_document_malformed():
