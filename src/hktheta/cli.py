@@ -5,9 +5,10 @@ theta reports; `lattice` answers pairing/divisibility/orbit questions about
 the built-in lattices; `pairing` analyzes a pairing loaded from a JSON file;
 `heisenberg` and `schrodinger` expose the group computations; `sweep` runs
 the property battery (one sweep with --only), reporting counts and seconds.
-The parser is built once per process, and each request is parsed once, by
-its subcommand's parser; the top-level parser serves only an argv that names
-no subcommand.
+The parser is built once per process.  A well-formed request (exact option
+names, once each, no `--name value` whose value starts with a dash) is read
+straight off its subcommand parser's own actions; any other argv is parsed
+once, by its subcommand's parser, which gives every usage error and help text.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
@@ -19,12 +20,14 @@ fields are omitted, never null).  Exit codes: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .finabgrp import (
     QmodZ,
+    _order_literal,
     _reduced,
     brute_cokernel,
     is_nondegenerate,
@@ -172,10 +175,10 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
 def _load_pairing(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_order_literal)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ValueError(f"malformed pairing document: {exc}") from exc
     return pairing_from_dict(doc)
 
@@ -303,16 +306,66 @@ def _emit(args, record, lines):
 _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
+@functools.cache
+def _exact_tables(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand -> (its parser, its table for _exact_parse), read once off the
+    subparser's own actions; the table is None where an action is of a kind
+    _exact_parse does not read."""
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, sub in commands.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        positionals = [a for a in actions if not a.option_strings]
+        readable = len(positionals) <= 1 and all(
+            type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction
+            and a.nargs is None and not isinstance(a.default, str) for a in actions)
+        table = ({s: a for a in actions for s in a.option_strings}, (positionals or [None])[0],
+                 {a.dest for a in actions if a.required},
+                 {**{a.dest: a.default for a in actions}, **sub._defaults})
+        tables[name] = sub, table if readable else None
+    return tables
+
+
+def _exact_parse(table, command: str, words: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse builds for words, or None wherever argparse might
+    answer otherwise: an unknown or abbreviated option, a repeat, `--`, a value
+    that starts with a dash, a failed conversion or choice, a missing option."""
+    options, positional, required, defaults = table
+    values, rest = {}, iter(words)
+    for word in rest:
+        name, eq, value = word.partition("=") if word.startswith("-") else (None, "", word)
+        action = positional if name is None else options.get(name)
+        if action is None or action.dest in values or value == "--" or eq and action.nargs == 0:
+            return None
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        if name and not eq and (value := next(rest, "-")).startswith("-"):
+            return None
+        try:  # convert, then check the choices, as argparse does
+            value = (action.type or str)(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=command, **{**defaults, **values})
+
+
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     # the top-level parser would only scan argv, set args.command and hand the
     # rest to the subcommand's parser; it serves just the argv that names no
     # subcommand (none, -h, unknown)
-    commands = next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    if not argv or argv[0] not in commands:
+    tables = _exact_tables(parser)
+    if not argv or argv[0] not in tables:
         return parser.parse_args(argv)
-    args, extras = commands[argv[0]].parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
+    sub, table = tables[argv[0]]
+    if table and (args := _exact_parse(table, argv[0], argv[1:])):
+        return args
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
@@ -324,6 +377,9 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     parser = _PARSER
     args = _parse(parser, sys.argv[1:] if argv is None else argv)
+    if [] in vars(args).values():  # argparse drops the "--" of --name=-- and stores []
+        dest = next(dest for dest, value in vars(args).items() if value == [])
+        parser.error(f"argument --{dest}: expected one argument")
     try:
         record, lines = args.handler(args)
     except _Usage as exc:

@@ -75,13 +75,16 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+MAX_ENTRY_DIGITS = 1000  # per side of "a/b"; int() never reads a longer one
+
+
 def _parse_fraction(text: str) -> tuple[int, int]:
     """The reduced pair of "a/b", or of a bare integer "a" (which is zero mod 1)."""
-    s = text.strip()
-    if "/" in s:
-        a, b = s.split("/", 1)
-        return _reduced(int(a), int(b))
-    return _reduced(int(s), 1)
+    a, slash, b = text.strip().partition("/")
+    if len(a) > MAX_ENTRY_DIGITS or len(b) > MAX_ENTRY_DIGITS:
+        raise ValueError(f"fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} "
+                         f"digits per side")
+    return _reduced(int(a), int(b) if slash else 1)
 
 
 class QmodZ(Record):
@@ -501,6 +504,16 @@ def pairing_to_dict(pairing: Pairing) -> dict:
 
 MAX_PAIRING_RANK = 100  # the Smith form costs about rank^3 operations
 MAX_EXPONENT_BITS = 1024  # each of them costs about bits^2: entries stay below the exponent
+_EXPONENT_ERROR = f"pairing exponent exceeds the limit MAX_EXPONENT_BITS = {MAX_EXPONENT_BITS} bits"
+_ORDER_DIGITS = len(str(2**MAX_EXPONENT_BITS))
+
+
+def _order_literal(text: str) -> int:
+    """json's parse_int for a pairing document, whose integers are its orders:
+    one of more digits than 2^MAX_EXPONENT_BITS is refused before int() runs."""
+    if len(text) > _ORDER_DIGITS:
+        raise ValueError(_EXPONENT_ERROR)
+    return int(text)
 
 
 def pairing_from_dict(obj) -> Pairing:
@@ -519,8 +532,7 @@ def pairing_from_dict(obj) -> Pairing:
             raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
         group = FinAbGroup(orders)
         if any(e.bit_length() > MAX_EXPONENT_BITS for e in accumulate(group.orders, math.lcm)):
-            raise ValueError(f"pairing exponent exceeds the limit MAX_EXPONENT_BITS = "
-                             f"{MAX_EXPONENT_BITS} bits")
+            raise ValueError(_EXPONENT_ERROR)
         fracs = [[_parse_fraction(s) for s in row] for row in _square(obj["matrix"], len(orders))]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc

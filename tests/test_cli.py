@@ -24,6 +24,7 @@ import hktheta.cli as cli
 import hktheta.finabgrp as finabgrp
 from hktheta.cli import main
 from hktheta.finabgrp import (
+    MAX_ENTRY_DIGITS,
     MAX_EXPONENT_BITS,
     MAX_PAIRING_RANK,
     AbGroupStructure,
@@ -435,6 +436,36 @@ def test_pairing_exponent_limit(capsys, tmp_path, orders):
     code, out, err = run_cli(capsys, "pairing", "cokernel", "--file", str(path))
     assert time.perf_counter() - start < 0.5
     assert (code, out, err) == (1, "", _EXPONENT_ERROR)
+
+
+_LONG = "1" + "0" * 5000  # past CPython's 4300-digit limit on int() of text
+
+
+@pytest.mark.parametrize("text, line", [
+    ('{"orders": [%s, 2], "matrix": [["0/1", "0/1"], ["0/1", "0/1"]]}' % _LONG, _EXPONENT_ERROR),
+    ('{"orders": [2, 2], "matrix": [["0/1", "%s/2"], ["0/1", "0/1"]]}' % _LONG,
+     f"error: fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits per side\n"),
+    ('{"orders": [2, 2], "matrix": [["0/1", "1/%s"], ["0/1", "0/1"]]}' % _LONG,
+     f"error: fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits per side\n"),
+], ids=["order", "numerator", "denominator"])
+def test_pairing_literals_past_the_digit_limits(capsys, tmp_path, text, line):
+    # these exited with CPython's "use sys.set_int_max_str_digits()" text
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert run_cli(capsys, "pairing", "cokernel", "--file", str(path)) == (1, "", line)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"orders": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["bare", "matrix"])
+def test_pairing_deeply_nested_document(capsys, tmp_path, text):
+    # the JSON decoder's RecursionError escaped main as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "pairing", "cokernel", "--file", str(path))
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: malformed pairing document: maximum recursion depth exceeded")
 
 
 def test_pairing_at_the_exponent_limit_answers(capsys, tmp_path):
@@ -947,6 +978,9 @@ _ROUTE_CORPUS = [
     ["og6", "--div", "1", "--q=-4", "--json"], ["rank4", "--e", "-6"],  # negative values
     ["sweep", "--only", "og6_model"], ["sweep", "--only", "og6"], ["sweep", "--json", "extra"],
     ["pairing", "nondeg", "--file", "pairing.json", "--oracle"],
+    ["rank4", "--e=10", "--e=12"], ["og6", "--json", "--div=1", "--q=2", "--json"],  # repeats
+    ["lattice", "div", "--lattice=og6", "--vector=--"], ["rank4", "--e=10", "--json="],
+    ["lattice", "q", "q", "--lattice=og6", "--vector=1"], ["kummer", "--n= 3", "--div=1", "--q=2"],
 ]
 
 
@@ -979,6 +1013,8 @@ _route_words = st.sampled_from([
     "--q", "--e", "--a1", "--x", "-4", "2", "6", "--lattice=og6", "--lattice", "kum:2",
     "--vector=1,0,0,0,0,0,0,0", "--file=pairing.json", "--oracle", "--only", "og6_model",
     "--d=2", "--a=0;(1);(0)", "--b=0;(0);(1)", "--elem=0;(1);(0)",
+    "--e=10", "--json=1", "--only=og6_model", "--vector=", "--q=-4", "--d=2,2", "--file=pairing.json",
+    "--vector=--", "--json=", "--div=1", "--q=2",
 ]) | st.text(max_size=6)
 
 
@@ -989,7 +1025,75 @@ def test_dispatch_answers_as_the_full_parse_fuzzed(both_routes, argv):
     assert dispatched == full
 
 
+_STRATEGY_PARSER = cli.build_parser()
+_TEXT_VALUES = {  # the str-valued options; int and choice options draw from their actions
+    "lattice": ["og6", "kum:2", "kum:5"],
+    "vector": ["1,0,0,0,0,0,0,0", "0,0,1,1,0,0,0", "1,2,0,0,0,0,1"],
+    "file": ["pairing.json"],
+    "d": ["2", "3,3", "2,4"],
+    "a": ["0;(1);(0)", "1/2;(1,0);(0,1)", "0;(0,1);(1,3)"],
+    "b": ["0;(0);(1)", "0;(1,1);(0,1)", "0;(2,1);(1,0)"],
+    "elem": ["0;(1);(0)", "1/3;(1,2);(0,1)", "0;(1,0);(2,1)"],
+}
+
+
+@st.composite
+def _well_formed_argvs(draw):
+    """An argv argparse accepts, built from a subcommand parser's own actions:
+    every required option and a random set of the others, each once, as
+    --name=value or --name value, the positional among them, in any order."""
+    commands = cli._exact_tables(_STRATEGY_PARSER)
+    command = draw(st.sampled_from(sorted(commands)))
+    groups = []
+    for action in commands[command][0]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.choices is not None:
+            value = draw(st.sampled_from(sorted(action.choices)))
+        elif action.type is int:
+            value = str(draw(st.integers(-40, 40)))
+        else:
+            value = draw(st.sampled_from(_TEXT_VALUES.get(action.dest, [""])))
+        if not action.option_strings:
+            groups.append([value])
+        elif action.required or draw(st.booleans()):
+            option = action.option_strings[0]
+            groups.append([option] if action.nargs == 0 else
+                          draw(st.sampled_from([[f"{option}={value}"], [option, value]])))
+    return [command] + [word for group in draw(st.permutations(groups)) for word in group]
+
+
+@given(_well_formed_argvs())
+def test_exact_path_builds_the_full_parse_namespace(argv):
+    full = vars(_STRATEGY_PARSER.parse_args(argv))
+    assert vars(cli._parse(_STRATEGY_PARSER, argv)) == full
+    # the exact path answers unless a negative value follows its option name
+    # as a word of its own, which argparse takes and the exact path declines
+    table = cli._exact_tables(_STRATEGY_PARSER)[argv[0]][1]
+    exact = cli._exact_parse(table, argv[0], argv[1:])
+    if all(w.partition("=")[0] in table[0] for w in argv[1:] if w.startswith("-")):
+        assert exact is not None and vars(exact) == full
+    else:
+        assert exact is None
+
+
+@given(_well_formed_argvs())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # shared set-up only
+def test_exact_path_answers_as_the_full_parse(both_routes, argv):
+    dispatched, full = both_routes(argv)
+    assert dispatched == full
+
+
+def test_every_subcommand_has_an_exact_path_table():
+    # an action kind _exact_parse does not read leaves its subcommand's table
+    # None: every request to it would be parsed by argparse, silently slower
+    tables = cli._exact_tables(cli.build_parser())
+    assert len(tables) == 8 and all(table is not None for _, table in tables.values())
+
+
 def test_one_request_is_one_parse(capsys, monkeypatch):
+    # at most one: a well-formed request is parsed by none, a declined one by
+    # its subcommand's parser alone
     run_cli(capsys, "rank4", "--e", "10")  # the parser is built
     parse_known_args = argparse.ArgumentParser.parse_known_args
     calls = []
@@ -1000,7 +1104,17 @@ def test_one_request_is_one_parse(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
     assert run_cli(capsys, "rank4", "--e", "10")[0] == 0
-    assert calls == ["hktheta rank4"]
+    assert run_cli(capsys, "og6", "--div=1", "--q", "2", "--json")[0] == 0
+    assert calls == []
+    for argv, code, command in [
+        (["rank4", "--e", "10", "--js"], 0, "rank4"),  # an abbreviation
+        (["og6", "--div", "1", "--q", "-4"], 0, "og6"),  # a value that starts with a dash
+        (["kummer", "-h"], 0, "kummer"),
+        (["og6", "--div", "1"], 2, "og6"),  # a missing option
+    ]:
+        calls.clear()
+        assert run_cli(capsys, *argv)[0] == code
+        assert calls == [f"hktheta {command}"], argv
     calls.clear()
     monkeypatch.setattr(cli, "_parse", _full_parse)
     assert run_cli(capsys, "rank4", "--e", "10")[0] == 0
@@ -1018,6 +1132,22 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "og6", "--div", "1")
     assert code == 2  # missing --q
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "div", "--lattice=og6", "--vector=--"],
+    ["lattice", "div", "--lattice=--", "--vector=1"],
+    ["pairing", "cokernel", "--file=--"],
+    ["sweep", "--only=--"],
+    ["kummer", "--n=--", "--div=1", "--q=2"],
+    ["rank4", "--e=--", "--js"],  # declined by the exact path for the abbreviation too
+])
+def test_option_value_of_a_double_dash_is_a_usage_error(capsys, argv):
+    # argparse drops the "--" of --name=-- and stored [], which escaped main
+    # as an AttributeError, TypeError or StopIteration traceback
+    dest = next(w for w in argv if w.endswith("=--"))[2:-3]
+    assert run_cli(capsys, *argv) == (2, "", cli.build_parser().format_usage()
+                                      + f"hktheta: error: argument --{dest}: expected one argument\n")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from hktheta import finabgrp
 from hktheta.arith import divisors
 from hktheta.finabgrp import (
+    MAX_ENTRY_DIGITS,
     MAX_EXPONENT_BITS,
     AbGroupStructure,
     FinAbGroup,
@@ -899,6 +900,17 @@ def test_pairing_document_exponent_is_checked_before_any_entry():
     p = pairing_from_dict({"orders": [top, 2], "matrix": [["0/1", "1/2"], ["1/2", "0/1"]]})
     assert p.group.exponent.bit_length() == MAX_EXPONENT_BITS
     assert pairing_cokernel(p) == AbGroupStructure((top // 2,))  # Ghat / <(top/2, 0), (0, 1)>
+
+
+def test_fraction_sides_are_bounded_before_int_runs():
+    # a side of MAX_ENTRY_DIGITS characters is read, one more is refused, and
+    # CPython's own limit on int() of text is never reached
+    side = "9" * MAX_ENTRY_DIGITS
+    assert QmodZ.parse(f"{side}/10") == QmodZ(9, 10)
+    assert QmodZ.parse(f" -1/{side} ") == QmodZ(int(side) - 1, int(side))
+    for text in (f"9{side}/10", f"1/9{side}", f"9{side}", "1" * 5000):
+        with pytest.raises(ValueError, match=f"MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"):
+            QmodZ.parse(text)
 
 
 def test_pairing_document_malformed():
