@@ -5,10 +5,11 @@ theta reports; `lattice` answers pairing/divisibility/orbit questions about
 the built-in lattices; `pairing` analyzes a pairing loaded from a JSON file;
 `heisenberg` and `schrodinger` expose the group computations; `sweep` runs
 the property battery (one sweep with --only), reporting counts and seconds.
-The parser is built once per process.  A well-formed request (exact option
-names, once each, no `--name value` whose value starts with a dash) is read
-straight off its subcommand parser's own actions; any other argv is parsed
-once, by its subcommand's parser, which gives every usage error and help text.
+One option table, `_COMMANDS`, describes every subcommand.  A well-formed
+request (exact option names, once each, no `--name value` whose value starts
+with a dash) is read straight off it, and argparse is never imported.  Any
+other argv is parsed once by its subcommand's argparse parser, built from the
+same table at most once per process, which gives every usage error and help text.
 
 Every subcommand accepts --json for machine-readable output (absent optional
 fields are omitted, never null).  Exit codes: 0 success, 1 domain error
@@ -19,11 +20,11 @@ fields are omitted, never null).  Exit codes: 0 success, 1 domain error
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .finabgrp import (
     QmodZ,
@@ -58,6 +59,13 @@ from .sweeps import SWEEPS, SweepResult, run_all
 __all__ = ["main"]
 
 
+_QUOTED_CHARS = 40  # of an input echoed in an error line
+
+
+def _quoted(text: str) -> str:
+    return repr(text) if len(text) <= _QUOTED_CHARS else repr(text[:_QUOTED_CHARS]) + "..."
+
+
 def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
     if name == "og6":
         return _OG6, None
@@ -65,9 +73,9 @@ def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
         try:
             n = int(name.split(":", 1)[1])
         except ValueError as exc:
-            raise ValueError(f"bad lattice name {name!r}") from exc
+            raise ValueError(f"bad lattice name {_quoted(name)}") from exc
         return _kum_lattice(n), n
-    raise ValueError(f"unknown lattice {name!r}; use kum:<n> or og6")
+    raise ValueError(f"unknown lattice {_quoted(name)}; use kum:<n> or og6")
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -75,23 +83,24 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ValueError(f"bad {what} {text!r}: expected comma-separated integers") from exc
+        raise ValueError(f"bad {what} {_quoted(text)}: expected comma-separated integers") from exc
 
 
 def _parse_heis_elem(d_text: str, elem_text: str):
     d = _parse_ints(d_text, "type d")
     parts = elem_text.split(";")
     if len(parts) != 3:
-        raise ValueError(f"bad element {elem_text!r}: expected 't;(x1,..);(f1,..)'")
+        raise ValueError(f"bad element {_quoted(elem_text)}: expected 't;(x1,..);(f1,..)'")
     scalar_text, x_text, f_text = (p.strip() for p in parts)
     try:
         scalar = QmodZ.parse(scalar_text)
-    except ValueError as exc:
-        raise ValueError(f"bad scalar {scalar_text!r}") from exc
+    except ValueError as exc:  # a cut quote cannot show what is wrong: say it
+        reason = f": {exc}" if len(scalar_text) > _QUOTED_CHARS else ""
+        raise ValueError(f"bad scalar {_quoted(scalar_text)}{reason}") from exc
     coords = []
     for part in (x_text, f_text):
         if not (part.startswith("(") and part.endswith(")")):
-            raise ValueError(f"bad component {part!r}: expected '(c1,..,cg)'")
+            raise ValueError(f"bad component {_quoted(part)}: expected '(c1,..,cg)'")
         coords.append(_parse_ints(part[1:-1], "component"))
     if any(len(c) != len(d) for c in coords):
         raise ValueError("component length must match the type d")
@@ -239,60 +248,121 @@ class _SweepFailure(Exception):
         self.lines = lines
 
 
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
+_ELEM = {"required": True, "help": "element 't;(x1,..);(f1,..)'"}
+_TYPE_D = ("--d", {"required": True, "help": "type, e.g. '3,3'"})
+_INT, _REQUIRED_INT = {"type": int}, {"type": int, "required": True}
+
+# subcommand -> (handler, help, its arguments as add_argument's name and
+# keywords); build_parser and the exact parse both read this one table
+_COMMANDS = {
+    "kummer": (_cmd_kummer, "theta report for the Kummer-type family", [
+        _JSON, ("--n", _REQUIRED_INT), ("--div", _INT), ("--q", _INT), ("--a1", _INT),
+        ("--a2", _INT), ("--x", _INT)]),
+    "og6": (_cmd_og6, "theta report for the OG6 family",
+            [_JSON, ("--div", _REQUIRED_INT), ("--q", _REQUIRED_INT)]),
+    "rank4": (_cmd_rank4, "theta report for the rank-4 modular sheaves",
+              [_JSON, ("--e", _REQUIRED_INT)]),
+    "lattice": (_cmd_lattice, "lattice pairing, divisibility, and orbit data", [
+        _JSON, ("question", {"choices": ["div", "q", "class", "orbit"]}),
+        ("--lattice", {"required": True, "help": "kum:<n> or og6"}),
+        ("--vector", {"required": True, "help": "comma-separated coordinates"})]),
+    "pairing": (_cmd_pairing, "analyze a pairing from a JSON file", [
+        _JSON, ("question", {"choices": ["cokernel", "radical", "nondeg"]}),
+        ("--file", {"required": True}),
+        ("--oracle", {"action": "store_true",
+                      "help": "force the brute-force enumeration path (cokernel only)"})]),
+    "heisenberg": (_cmd_heisenberg, "Heisenberg group computations", [
+        _JSON, ("question", {"choices": ["commutator"]}), _TYPE_D, ("--a", _ELEM),
+        ("--b", _ELEM)]),
+    "schrodinger": (_cmd_schrodinger, "exact Schrodinger matrices", [
+        _JSON, ("question", {"choices": ["matrix"]}), _TYPE_D, ("--elem", _ELEM)]),
+    "sweep": (_cmd_sweep, "run the property suites and report pass/fail counts", [
+        _JSON, ("--only", {"metavar": "NAME", "help": "run one sweep, named without 'sweep_'",
+                           "choices": [s.__name__.removeprefix("sweep_") for s in SWEEPS]})]),
+}
+
+
+def _exact_table(handler, arguments):
+    """option name (None for the positional) -> (dest, conversion or None for a
+    store_true flag, choices); the required dests; the namespace defaults."""
+    fields, required, defaults = {}, set(), {"handler": handler}
+    for name, spec in arguments:
+        dest, flag = name.lstrip("-"), spec.get("action") == "store_true"
+        fields[name if name.startswith("-") else None] = (
+            dest, None if flag else spec.get("type", str), spec.get("choices"))
+        if spec.get("required") or not name.startswith("-"):
+            required.add(dest)
+        defaults[dest] = False if flag else None
+    return fields, required, defaults
+
+
+_EXACT = {name: _exact_table(handler, args) for name, (handler, _, args) in _COMMANDS.items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hktheta",
-        description="Exact theta-group invariants for Kummer-type and OG6-type manifolds.",
-    )
+    """The argparse parser of _COMMANDS; it answers every argv _exact_parse declines."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="hktheta", description="Exact theta-group invariants "
+                                     "for Kummer-type and OG6-type manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        for arg, spec in arguments:
+            p.add_argument(arg, **spec)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("kummer", _cmd_kummer, "theta report for the Kummer-type family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--div", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--a1", type=int)
-    p.add_argument("--a2", type=int)
-    p.add_argument("--x", type=int)
-
-    p = add("og6", _cmd_og6, "theta report for the OG6 family")
-    p.add_argument("--div", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("rank4", _cmd_rank4, "theta report for the rank-4 modular sheaves")
-    p.add_argument("--e", type=int, required=True)
-
-    p = add("lattice", _cmd_lattice, "lattice pairing, divisibility, and orbit data")
-    p.add_argument("question", choices=["div", "q", "class", "orbit"])
-    p.add_argument("--lattice", required=True, help="kum:<n> or og6")
-    p.add_argument("--vector", required=True, help="comma-separated coordinates")
-
-    p = add("pairing", _cmd_pairing, "analyze a pairing from a JSON file")
-    p.add_argument("question", choices=["cokernel", "radical", "nondeg"])
-    p.add_argument("--file", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="force the brute-force enumeration path (cokernel only)")
-
-    p = add("heisenberg", _cmd_heisenberg, "Heisenberg group computations")
-    p.add_argument("question", choices=["commutator"])
-    p.add_argument("--d", required=True, help="type, e.g. '3,3'")
-    p.add_argument("--a", required=True, help="element 't;(x1,..);(f1,..)'")
-    p.add_argument("--b", required=True, help="element 't;(x1,..);(f1,..)'")
-
-    p = add("schrodinger", _cmd_schrodinger, "exact Schrodinger matrices")
-    p.add_argument("question", choices=["matrix"])
-    p.add_argument("--d", required=True, help="type, e.g. '3,3'")
-    p.add_argument("--elem", required=True, help="element 't;(x1,..);(f1,..)'")
-
-    p = add("sweep", _cmd_sweep, "run the property suites and report pass/fail counts")
-    p.add_argument("--only", metavar="NAME", help="run one sweep, named without 'sweep_'",
-                   choices=[s.__name__.removeprefix("sweep_") for s in SWEEPS])
+    parser.subcommands = sub.choices  # name -> its parser, for the one-parser route
     return parser
+
+
+@functools.cache  # built the first time argparse must answer, once per process
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _exact_parse(command: str, words: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for words, or None wherever argparse might
+    answer otherwise: an unknown or abbreviated option, a repeat, `--`, a value
+    that starts with a dash, a failed conversion or choice, a missing option."""
+    fields, required, defaults = _EXACT[command]
+    values, rest = {}, iter(words)
+    for word in rest:
+        name, eq, value = word.partition("=") if word.startswith("-") else (None, "", word)
+        dest, convert, choices = fields.get(name, (None, None, None))
+        if dest is None or dest in values or value == "--" or eq and convert is None:
+            return None
+        if convert is None:  # a store_true flag
+            values[dest] = True
+            continue
+        if name and not eq and (value := next(rest, "-")).startswith("-"):
+            return None
+        try:  # convert, then check the choices, as argparse does
+            value = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(command=command, **{**defaults, **values})
+
+
+def _parse(argv: list[str]):
+    if argv and argv[0] in _EXACT and (args := _exact_parse(argv[0], argv[1:])):
+        return args
+    # the top-level parser would only scan argv, set args.command and hand the
+    # rest to the subcommand's parser; it serves just the argv that names no
+    # subcommand (none, -h, unknown)
+    parser = _parser()
+    if not argv or argv[0] not in _EXACT:
+        return parser.parse_args(argv)
+    args, extras = parser.subcommands[argv[0]].parse_known_args(
+        argv[1:], SimpleNamespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _emit(args, record, lines):
@@ -303,87 +373,15 @@ def _emit(args, record, lines):
             print(line)
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
-
-
-@functools.cache
-def _exact_tables(parser: argparse.ArgumentParser) -> dict:
-    """Subcommand -> (its parser, its table for _exact_parse), read once off the
-    subparser's own actions; the table is None where an action is of a kind
-    _exact_parse does not read."""
-    commands = next(a.choices for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    tables = {}
-    for name, sub in commands.items():
-        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        positionals = [a for a in actions if not a.option_strings]
-        readable = len(positionals) <= 1 and all(
-            type(a) is argparse._StoreTrueAction or type(a) is argparse._StoreAction
-            and a.nargs is None and not isinstance(a.default, str) for a in actions)
-        table = ({s: a for a in actions for s in a.option_strings}, (positionals or [None])[0],
-                 {a.dest for a in actions if a.required},
-                 {**{a.dest: a.default for a in actions}, **sub._defaults})
-        tables[name] = sub, table if readable else None
-    return tables
-
-
-def _exact_parse(table, command: str, words: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse builds for words, or None wherever argparse might
-    answer otherwise: an unknown or abbreviated option, a repeat, `--`, a value
-    that starts with a dash, a failed conversion or choice, a missing option."""
-    options, positional, required, defaults = table
-    values, rest = {}, iter(words)
-    for word in rest:
-        name, eq, value = word.partition("=") if word.startswith("-") else (None, "", word)
-        action = positional if name is None else options.get(name)
-        if action is None or action.dest in values or value == "--" or eq and action.nargs == 0:
-            return None
-        if action.nargs == 0:
-            values[action.dest] = action.const
-            continue
-        if name and not eq and (value := next(rest, "-")).startswith("-"):
-            return None
-        try:  # convert, then check the choices, as argparse does
-            value = (action.type or str)(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
-            return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    if not required <= values.keys():
-        return None
-    return argparse.Namespace(command=command, **{**defaults, **values})
-
-
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    # the top-level parser would only scan argv, set args.command and hand the
-    # rest to the subcommand's parser; it serves just the argv that names no
-    # subcommand (none, -h, unknown)
-    tables = _exact_tables(parser)
-    if not argv or argv[0] not in tables:
-        return parser.parse_args(argv)
-    sub, table = tables[argv[0]]
-    if table and (args := _exact_parse(table, argv[0], argv[1:])):
-        return args
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    parser = _PARSER
-    args = _parse(parser, sys.argv[1:] if argv is None else argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     if [] in vars(args).values():  # argparse drops the "--" of --name=-- and stores []
         dest = next(dest for dest, value in vars(args).items() if value == [])
-        parser.error(f"argument --{dest}: expected one argument")
+        _parser().error(f"argument --{dest}: expected one argument")
     try:
         record, lines = args.handler(args)
     except _Usage as exc:
-        parser.error(str(exc))  # exits with code 2
+        _parser().error(str(exc))  # exits with code 2
     except _SweepFailure as exc:
         _emit(args, exc.record, exc.lines)
         return 1

@@ -537,6 +537,40 @@ def test_heisenberg_parse_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["lattice", "q", "--lattice=og6", "--vector=a,b"],
+     "bad vector 'a,b': expected comma-separated integers"),
+    (["lattice", "q", "--lattice=kum:x", "--vector=1"], "bad lattice name 'kum:x'"),
+    (["lattice", "q", "--lattice=k3", "--vector=1"], "unknown lattice 'k3'; use kum:<n> or og6"),
+    (["heisenberg", "commutator", "--d=2", "--a=abc;(1);(0)", "--b=0;(0);(1)"],
+     "bad scalar 'abc'"),
+    (["heisenberg", "commutator", "--d=2", "--a=(1);(0)", "--b=0;(0);(1)"],
+     "bad element '(1);(0)': expected 't;(x1,..);(f1,..)'"),
+])
+def test_short_inputs_are_quoted_whole(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+_LONG = "1" * 5001
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["heisenberg", "commutator", "--d=2", "--a=1" + "0" * 5000 + "/2;(1);(0)",
+      "--b=0;(0);(1)"], f"MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS}"),
+    (["heisenberg", "commutator", "--d=2", f"--a=0;({_LONG});(0)", "--b=0;(0);(1)"],
+     "bad component '1111"),
+    (["lattice", "q", "--lattice=og6", f"--vector={_LONG},0,0,0,0,0,0,0"], "bad vector '1111"),
+    (["lattice", "q", f"--lattice=kum:{_LONG}", "--vector=1,0,0,0,0,0,0"],
+     "bad lattice name 'kum:1111"),
+    (["lattice", "q", f"--lattice={_LONG}", "--vector=1"], "unknown lattice '1111"),
+])
+def test_oversized_inputs_give_one_short_line(capsys, argv, reason):
+    # an echoed input is cut to a fixed prefix; a cut scalar keeps its reason
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert err.startswith("error: ") and reason in err and "'..." in err
+
+
 def test_schrodinger_matrix(capsys):
     code, out, _ = run_cli(
         capsys, "schrodinger", "matrix", "--d", "3,3", "--elem", "0;(1,0);(0,0)"
@@ -870,16 +904,16 @@ def test_main_can_be_called_again_in_one_process(capsys, monkeypatch, kum_pairin
     ]
     first = []
     for argv in sequence:  # each call is the first of its process
-        monkeypatch.setattr(cli, "_PARSER", None)
+        cli._parser.cache_clear()
         first.append(run_cli(capsys, *argv))
     assert [code for code, _, _ in first] == [2, 1, 3, 0, 0, 0]
 
     build = cli.build_parser
     builds = []
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-    monkeypatch.setattr(cli, "_PARSER", None)
+    cli._parser.cache_clear()
     assert [run_cli(capsys, *argv) for argv in sequence * 2] == first * 2
-    assert len(builds) == 1
+    assert len(builds) == 1  # by the usage error; no other call needs argparse
 
 
 # ---------------------------------------------------------------------------
@@ -925,10 +959,10 @@ def test_readme_tour_matches_the_cli(capsys):
 # one parse per request: the subcommand's parser against the full top-level parse
 
 
-def _full_parse(parser, argv):
+def _full_parse(argv):
     # the reference route: the top-level parser parses argv and hands the
     # subcommand's words to that subcommand's parser, which parses them again
-    return parser.parse_args(argv)
+    return cli._parser().parse_args(argv)
 
 
 def _answer(argv):
@@ -1000,7 +1034,7 @@ def test_dispatch_returns_the_full_parse_namespace(capsys):
             full = vars(parser.parse_args(argv))
         except SystemExit:
             continue
-        assert vars(cli._parse(parser, argv)) == full, argv
+        assert vars(cli._parse(argv)) == full, argv
         compared += 1
     capsys.readouterr()
     assert compared > 12
@@ -1042,10 +1076,10 @@ def _well_formed_argvs(draw):
     """An argv argparse accepts, built from a subcommand parser's own actions:
     every required option and a random set of the others, each once, as
     --name=value or --name value, the positional among them, in any order."""
-    commands = cli._exact_tables(_STRATEGY_PARSER)
+    commands = _STRATEGY_PARSER.subcommands
     command = draw(st.sampled_from(sorted(commands)))
     groups = []
-    for action in commands[command][0]._actions:
+    for action in commands[command]._actions:
         if isinstance(action, argparse._HelpAction):
             continue
         if action.choices is not None:
@@ -1066,12 +1100,12 @@ def _well_formed_argvs(draw):
 @given(_well_formed_argvs())
 def test_exact_path_builds_the_full_parse_namespace(argv):
     full = vars(_STRATEGY_PARSER.parse_args(argv))
-    assert vars(cli._parse(_STRATEGY_PARSER, argv)) == full
+    assert vars(cli._parse(argv)) == full
     # the exact path answers unless a negative value follows its option name
     # as a word of its own, which argparse takes and the exact path declines
-    table = cli._exact_tables(_STRATEGY_PARSER)[argv[0]][1]
-    exact = cli._exact_parse(table, argv[0], argv[1:])
-    if all(w.partition("=")[0] in table[0] for w in argv[1:] if w.startswith("-")):
+    fields = cli._EXACT[argv[0]][0]
+    exact = cli._exact_parse(argv[0], argv[1:])
+    if all(w.partition("=")[0] in fields for w in argv[1:] if w.startswith("-")):
         assert exact is not None and vars(exact) == full
     else:
         assert exact is None
@@ -1084,17 +1118,41 @@ def test_exact_path_answers_as_the_full_parse(both_routes, argv):
     assert dispatched == full
 
 
-def test_every_subcommand_has_an_exact_path_table():
-    # an action kind _exact_parse does not read leaves its subcommand's table
-    # None: every request to it would be parsed by argparse, silently slower
-    tables = cli._exact_tables(cli.build_parser())
-    assert len(tables) == 8 and all(table is not None for _, table in tables.values())
+def _action_row(action):
+    return (action.option_strings, action.dest, action.nargs, action.const, action.type,
+            action.choices, action.required, action.default, action.help, action.metavar)
+
+
+def test_the_parser_and_the_exact_parse_read_one_table():
+    # build_parser has exactly the table's arguments, and the exact parse reads
+    # each as argparse does: an argument added in one place and not the other,
+    # or read differently, fails here
+    parser = cli.build_parser()
+    assert list(parser.subcommands) == list(cli._COMMANDS) and len(cli._COMMANDS) == 8
+    for name, (handler, _, arguments) in cli._COMMANDS.items():
+        sub = parser.subcommands[name]
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        expected = []
+        for arg, spec in arguments:
+            flag, option = spec.get("action") == "store_true", arg.startswith("-")
+            expected.append(([arg] if option else [], arg.lstrip("-"), 0 if flag else None,
+                             True if flag else None, spec.get("type"), spec.get("choices"),
+                             spec.get("required", not option), False if flag else None,
+                             spec.get("help"), spec.get("metavar")))
+        assert [_action_row(a) for a in actions] == expected, name
+        assert sub.get_default("handler") is handler
+        fields, required, defaults = cli._EXACT[name]
+        assert fields == {
+            (a.option_strings or [None])[0]: (a.dest, None if a.nargs == 0 else a.type or str,
+                                              a.choices) for a in actions}, name
+        assert required == {a.dest for a in actions if a.required}, name
+        assert defaults == {"handler": handler, **{a.dest: a.default for a in actions}}, name
 
 
 def test_one_request_is_one_parse(capsys, monkeypatch):
     # at most one: a well-formed request is parsed by none, a declined one by
     # its subcommand's parser alone
-    run_cli(capsys, "rank4", "--e", "10")  # the parser is built
+    cli._parser()  # built before counting, as by an earlier declined request
     parse_known_args = argparse.ArgumentParser.parse_known_args
     calls = []
 
@@ -1159,6 +1217,60 @@ def _child_env():
     src = str(Path(hktheta.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from hktheta.cli import main
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    answers.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps([answers, sorted({"argparse", "gettext"} & sys.modules.keys())]))
+"""
+
+
+def _probe(argvs):
+    """Answers to argvs in one fresh interpreter, and which of argparse and
+    gettext it imported; sweep timings are masked."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    answers, loaded = json.loads(proc.stdout)
+    return [_masked(*answer) for answer in answers], loaded
+
+
+def _masked(code, out, err):
+    return code, re.sub(r"seconds=\d+\.\d\d", "seconds=S", out), err
+
+
+def test_well_formed_requests_never_import_argparse(kum_pairing_file, monkeypatch):
+    well_formed = [
+        ["kummer", "--n", "2", "--div", "1", "--q", "6"],
+        ["kummer", "--n", "2", "--div", "4", "--q", "2"],  # a domain error, exit 1
+        ["og6", "--div", "2", "--q=-2", "--json"], ["rank4", "--e", "10", "--json"],
+        ["lattice", "div", "--lattice", "kum:2", "--vector", DELTA2],
+        ["pairing", "cokernel", "--file", kum_pairing_file],
+        ["heisenberg", "commutator", "--d", "2", "--a", "0;(1);(0)", "--b", "0;(0);(1)"],
+        ["schrodinger", "matrix", "--d", "3", "--elem", "1/3;(1);(2)"],
+        ["sweep", "--only", "og6_model"],
+    ]
+    assert {argv[0] for argv in well_formed} == set(cli._COMMANDS)
+    declined = [(["rank4", "--e", "10", "--js"], 0), (["kummer", "-h"], 0),
+                (["og6", "--div", "1"], 2), ([], 2)]
+    monkeypatch.setattr(cli, "_parse", _full_parse)  # argparse's answers are the reference
+    reference = [_masked(*_answer(argv)) for argv in well_formed]
+    assert [code for code, _, _ in reference] == [0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert _probe(well_formed) == (reference, [])
+    for argv, code in declined:
+        full = _answer(argv)
+        assert full[0] == code, argv
+        assert _probe([argv]) == ([full], ["argparse", "gettext"]), argv
 
 
 def _assert_rank4_script(env):
