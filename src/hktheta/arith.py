@@ -92,9 +92,3 @@ def divisors(n: int) -> list[int]:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
-
-def ord2(n: int) -> int:
-    """2-adic valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("ord2 of zero is undefined")
-    return (n & -n).bit_length() - 1  # n & -n keeps the lowest set bit, for either sign

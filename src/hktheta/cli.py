@@ -27,6 +27,7 @@ import sys
 from types import SimpleNamespace
 
 from .finabgrp import (
+    MAX_ENTRY_DIGITS,
     QmodZ,
     _order_literal,
     _reduced,
@@ -60,6 +61,9 @@ __all__ = ["main"]
 
 
 _QUOTED_CHARS = 40  # of an input echoed in an error line
+_USAGE_CHARS, _USAGE_CUT = 250, 150  # a longer usage message keeps its first 150 and "..."
+_DIGITS_ERROR = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"
+MAX_DOCUMENT_BYTES = 2**25  # a compact rank-100 document at MAX_ENTRY_DIGITS is about 20 MB
 
 
 def _quoted(text: str) -> str:
@@ -70,8 +74,10 @@ def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
     if name == "og6":
         return _OG6, None
     if name.startswith("kum:"):
+        if len(name[4:].strip().lstrip("+-")) > MAX_ENTRY_DIGITS:  # before int() reads it
+            raise ValueError(f"bad lattice name {_quoted(name)}: {_DIGITS_ERROR}")
         try:
-            n = int(name.split(":", 1)[1])
+            n = int(name[4:])
         except ValueError as exc:
             raise ValueError(f"bad lattice name {_quoted(name)}") from exc
         return _kum_lattice(n), n
@@ -80,6 +86,8 @@ def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
+    if any(len(p.lstrip("+-")) > MAX_ENTRY_DIGITS for p in parts):  # before int() reads it
+        raise ValueError(f"bad {what} {_quoted(text)}: {_DIGITS_ERROR}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
@@ -183,10 +191,19 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
 
 def _load_pairing(path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle, parse_int=_order_literal)
+        with open(path, "rb") as handle:  # read(n) allocates n bytes: a small read first
+            data = handle.read(1 << 16)
+            if len(data) == 1 << 16:
+                data += handle.read(MAX_DOCUMENT_BYTES + 1 - len(data))
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ValueError(f"pairing document exceeds the limit MAX_DOCUMENT_BYTES = "
+                         f"{MAX_DOCUMENT_BYTES} bytes")
+    # decoded as a text-mode open() reads it: UTF-8, universal newlines
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = json.loads(text, parse_int=_order_literal)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ValueError(f"malformed pairing document: {exc}") from exc
     return pairing_from_dict(doc)
@@ -304,8 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of _COMMANDS; it answers every argv _exact_parse declines."""
     import argparse
 
-    parser = argparse.ArgumentParser(prog="hktheta", description="Exact theta-group invariants "
-                                     "for Kummer-type and OG6-type manifolds.")
+    class Parser(argparse.ArgumentParser):  # its subparsers are of this class too
+        def error(self, message):  # cut only a message that an echoed input made long
+            super().error(message if len(message) <= _USAGE_CHARS else message[:_USAGE_CUT] + "...")
+
+    parser = Parser(prog="hktheta", description="Exact theta-group invariants "
+                    "for Kummer-type and OG6-type manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)

@@ -5,13 +5,12 @@ manifold: the generalized-Kummer family KUM (group (Z/(n+1))^4), the OG6
 family (group (Z/2)^8), and the RANK4 family of modular sheaves on
 Kummer-type fourfolds (Schrodinger type (3,3)).
 
-For KUM the commutator-pairing cokernel is (Z/div0)^2 + (Z/m)^2, where div0
-halves the divisibility exactly when the 2-adic valuation of div(L) exceeds
-that of n+1, and m = gcd(n+1, q/(2*div0)).  For OG6 it is trivial, (Z/2)^4,
-or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial or (Z/3)^2
-according to 3 | e.  Each family also carries a closed-form Heisenberg
-criterion; theta_report computes criterion and cokernel independently and
-insists they agree.
+For KUM the commutator-pairing cokernel is (Z/div0)^2 + (Z/m)^2, where
+div0 = gcd(n+1, div) and m = gcd(n+1, q/(2*div0)).  For OG6 it is trivial,
+(Z/2)^4, or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial
+or (Z/3)^2 according to 3 | e.  Each family also carries a closed-form
+Heisenberg criterion; theta_report computes criterion and cokernel
+independently and insists they agree.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .arith import Record, ord2
+from .arith import Record
 from .finabgrp import AbGroupStructure
 from .heisenberg import schrodinger_multiplicity
 
@@ -82,14 +81,12 @@ class LineBundleInvariants(Record):
 
 
 def div0_kum(n: int, div: int) -> int:
-    """div when ord_2(n+1) >= ord_2(div), else div/2."""
+    """gcd(n+1, div): div itself, or div/2 when div has more factors 2 than n+1."""
     if n < 2:
         raise ValueError("need n >= 2")
     if div < 1 or (2 * (n + 1)) % div:
         raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
-    if ord2(n + 1) >= ord2(div):
-        return div
-    return div // 2
+    return math.gcd(n + 1, div)
 
 
 def m_kum(n: int, q: int, div0: int) -> int:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 
+from .arith import int_tuple
+
 __all__ = ["integer_det", "smith_normal_form"]
 
 
 def _as_int_rows(mat) -> list[list[int]]:
-    rows = [list(map(int, r)) for r in mat]
+    rows = [list(int_tuple(r)) for r in mat]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):

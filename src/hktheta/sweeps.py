@@ -40,21 +40,6 @@ from .invariants import (
 )
 from .lattices import kum_orbit_split, kum_split_candidates, og6_class
 
-__all__ = [
-    "SweepResult",
-    "sweep_kum_criterion",
-    "sweep_kum_three_way",
-    "sweep_og6_model",
-    "sweep_kum_sections",
-    "sweep_og6_sections",
-    "sweep_rank4_consistency",
-    "sweep_tensor_additivity",
-    "sweep_orbit_split",
-    "sweep_og6_trichotomy",
-    "SWEEPS",
-    "run_all",
-]
-
 
 class SweepResult(Record):
     """A sweep's counts and seconds; witnesses name an exception that ended it."""
@@ -333,3 +318,6 @@ SWEEPS = (
 def run_all() -> list[SweepResult]:
     """Every sweep of SWEEPS, in order."""
     return [sweep() for sweep in SWEEPS]
+
+
+__all__ = ["SweepResult", *(sweep.__name__ for sweep in SWEEPS), "SWEEPS", "run_all"]

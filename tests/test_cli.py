@@ -37,7 +37,7 @@ from hktheta.finabgrp import (
 )
 from hktheta.heisenberg import MAX_SCHRODINGER_DIM
 from hktheta.invariants import MAX_H0_BITS
-from hktheta.sweeps import SweepResult
+from hktheta.sweeps import SWEEPS, SweepResult
 from hk_helpers import pairing_from_dict_by_qmodz, symplectic_pairing
 
 
@@ -455,6 +455,18 @@ def test_pairing_literals_past_the_digit_limits(capsys, tmp_path, text, line):
     assert run_cli(capsys, "pairing", "cokernel", "--file", str(path)) == (1, "", line)
 
 
+def test_pairing_document_past_the_byte_limit(capsys, tmp_path):
+    # the whole file went to json.load: /dev/zero grew until a MemoryError
+    sparse = tmp_path / "sparse.json"
+    with sparse.open("wb") as handle:
+        handle.truncate(cli.MAX_DOCUMENT_BYTES + 1)
+    line = f"error: pairing document exceeds the limit MAX_DOCUMENT_BYTES = {2**25} bytes\n"
+    assert cli.MAX_DOCUMENT_BYTES == 2**25
+    assert run_cli(capsys, "pairing", "cokernel", "--file", str(sparse)) == (1, "", line)
+    if os.path.exists("/dev/zero"):
+        assert run_cli(capsys, "pairing", "cokernel", "--file", "/dev/zero") == (1, "", line)
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000 + "]" * 100_000,
     '{"orders": [2, 2], "matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",
@@ -569,6 +581,33 @@ def test_oversized_inputs_give_one_short_line(capsys, argv, reason):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "") and err.count("\n") == 1 and len(err) < 200, err[:300]
     assert err.startswith("error: ") and reason in err and "'..." in err
+
+
+_DIGITS_LINE = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["lattice", "q", "--lattice=og6", f"--vector=0,{_LONG},0,0,0,0,0,0"], "vector"),
+    (["heisenberg", "commutator", f"--d={_LONG}", "--a=0;(1);(0)", "--b=0;(0);(1)"],
+     "type d"),
+    (["heisenberg", "commutator", "--d=2", "--a=0;(1);(0)", f"--b=0;(0);({_LONG})"],
+     "component"),
+    (["lattice", "div", f"--lattice=kum:{_LONG}", "--vector=1,0,0,0,0,0,0"], "lattice name"),
+])
+def test_integers_past_the_digit_limit_are_refused_by_name(capsys, argv, what):
+    # one of more than 4,300 digits was reported as malformed, by CPython's own limit
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert err.startswith(f"error: bad {what} '") and err.endswith("'...: " + _DIGITS_LINE)
+
+
+def test_integers_at_the_digit_limit_answer(capsys):
+    big = "9" * MAX_ENTRY_DIGITS
+    vector = f"-{big},1,0,0,0,0,0,0"
+    assert run_cli(capsys, "lattice", "q", "--lattice=og6", f"--vector={vector}") == (
+        0, f"{-2 * int(big)}\n", "")
+    assert run_cli(capsys, "lattice", "div", f"--lattice=kum:{big}",
+                   "--vector=1,0,0,0,0,0,0") == (0, "1\n", "")
 
 
 def test_schrodinger_matrix(capsys):
@@ -1190,6 +1229,27 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "og6", "--div", "1")
     assert code == 2  # missing --q
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "x" * 5000, "--lattice=og6", "--vector=1"],
+    ["sweep", "--only", "x" * 5000],
+    ["rank4", "--e", "10", "x" * 5000],
+    ["rank4", "--e", "x" * 5000],
+], ids=["choice", "option-choice", "unrecognized", "int"])
+def test_usage_errors_that_echo_a_long_value_stay_short(capsys, argv):
+    # each printed one error line of over 5,000 characters
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.endswith("...\n")
+    assert all(len(line) < 200 for line in err.splitlines()), err[:300]
+
+
+def test_a_short_usage_message_is_argparse_own(capsys):
+    # the cut leaves a message of a short value whole, with its list of choices
+    choices = ", ".join(repr(s.__name__.removeprefix("sweep_")) for s in SWEEPS)
+    assert run_cli(capsys, "sweep", "--only", "x") == (
+        2, "", cli.build_parser().subcommands["sweep"].format_usage()
+        + f"hktheta sweep: error: argument --only: invalid choice: 'x' (choose from {choices})\n")
 
 
 @pytest.mark.parametrize("argv", [

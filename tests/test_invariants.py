@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from hktheta.arith import divisors, ord2
+from hktheta.arith import divisors
 from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
     MAX_H0_BITS,
@@ -58,11 +58,13 @@ def _ord2_by_division(n):
     return v
 
 
-def test_ord2_matches_division():
-    values = [*range(-300, 0), *range(1, 301), 3 * 2**70, -(2**100), 2**64 - 1, -(2**63)]
-    assert [ord2(n) for n in values] == [_ord2_by_division(n) for n in values]
-    with pytest.raises(ValueError):
-        ord2(0)
+def test_div0_matches_two_adic_rule():
+    # reference, sharing no code with the gcd: the 2-adic rule, div when
+    # ord_2(n+1) >= ord_2(div), else div/2
+    for n in range(2, 400):
+        for div in divisors(2 * (n + 1)):
+            two_adic = div if _ord2_by_division(n + 1) >= _ord2_by_division(div) else div // 2
+            assert div0_kum(n, div) == two_adic, (n, div)
 
 
 def test_div0_validation():

@@ -101,3 +101,14 @@ def test_smith_form_diagonal_golden():
     assert smith_normal_form([[0, 0], [0, 0]], 5) == [5, 5]
     assert smith_normal_form([[1, 0], [0, 1]], 7) == [1, 1]
     assert smith_normal_form([[5]], 12) == [1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integer_det([[2.5, 0], [0, 1]]),
+    lambda: smith_normal_form([[2.9]], 6),
+    lambda: integer_det([["3"]]),
+])
+def test_non_integer_entries_are_refused_not_truncated(call):
+    with pytest.raises(ValueError, match="expected an integer") as info:
+        call()
+    assert "\n" not in str(info.value)
