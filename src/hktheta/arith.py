@@ -1,13 +1,14 @@
 """Small exact number-theory helpers.  `factorint` and `divisors` use
 unbounded trial division, so they serve only bounded callers: the `finabgrp`
 enumeration oracle (factorint only, order <= 10**6), `heisenberg.cyclotomic_poly`
-(from `character_norm`, dim <= 64) and two fixed-range sweeps.  `int_tuple`
-refuses a float, Fraction or string that int() would truncate or parse.
-`Record` is the base of the package's immutable value types.
+(from `character_norm`, dim <= 64) and two fixed-range sweeps.  `int_tuple` refuses
+a float, Fraction or string that int() would truncate or parse.  `divisor_chain` is
+the one gcd/lcm chain rule; `Record` the base of the package's immutable value types.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -65,6 +66,19 @@ def int_tuple(values) -> tuple[int, ...]:
     except TypeError:
         bad = next((x for x in values if not hasattr(x, "__index__")), values)
         raise ValueError(f"expected an integer, got {bad!r}") from None
+
+
+def divisor_chain(orders) -> list[int]:
+    """Z/o_1 + ... + Z/o_k as Z/d_1 + ... + Z/d_k, d_1 | ... | d_k (1s kept): each
+    order is carried down the chain by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b)."""
+    chain: list[int] = []
+    for o in orders:
+        if o < 1:
+            raise ValueError("cyclic orders must be positive")
+        for i in reversed(range(len(chain))):
+            chain[i], o = math.lcm(chain[i], o), math.gcd(chain[i], o)
+        chain.insert(0, o)
+    return chain
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -8,14 +8,14 @@ the property battery (one sweep with --only), reporting counts and seconds.
 One option table, `_COMMANDS`, describes every subcommand.  A well-formed
 request (exact option names, once each, no `--name value` whose value starts
 with a dash) is read straight off it, and argparse is never imported.  Any
-other argv is parsed once by its subcommand's argparse parser, built from the
-same table at most once per process, which gives every usage error and help text.
+other argv goes to the full argparse parser, built from the same table at most
+once per process, which gives every usage error and help text.
 
 Every subcommand accepts --json for machine-readable output (absent optional
-fields are omitted, never null).  Exit codes: 0 success, 1 domain error
-(single-line diagnostic on stderr), 2 usage error, 3 internal check failure
-(an `AssertionError` from a cross-check, reported as the single line
-`internal check failed: <msg>` on stderr).
+fields are omitted, never null).  Exit codes: 0 success, 1 domain error (one
+line on stderr, cut as a long usage message is), 2 usage error, 3 internal
+check failure (an `AssertionError` from a cross-check, reported as the single
+line `internal check failed: <msg>` on stderr).
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ __all__ = ["main"]
 
 
 _QUOTED_CHARS = 40  # of an input echoed in an error line
-_USAGE_CHARS, _USAGE_CUT = 250, 150  # a longer usage message keeps its first 150 and "..."
+_USAGE_CHARS, _USAGE_CUT = 250, 150  # a longer usage/error message keeps 150 chars and "..."
 _DIGITS_ERROR = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"
 MAX_DOCUMENT_BYTES = 2**25  # a compact rank-100 document at MAX_ENTRY_DIGITS is about 20 MB
+
+
+def _cut(message: str) -> str:
+    return message if len(message) <= _USAGE_CHARS else message[:_USAGE_CUT] + "..."
 
 
 def _quoted(text: str) -> str:
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):  # its subparsers are of this class too
         def error(self, message):  # cut only a message that an echoed input made long
-            super().error(message if len(message) <= _USAGE_CHARS else message[:_USAGE_CUT] + "...")
+            super().error(_cut(message))
 
     parser = Parser(prog="hktheta", description="Exact theta-group invariants "
                     "for Kummer-type and OG6-type manifolds.")
@@ -333,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         for arg, spec in arguments:
             p.add_argument(arg, **spec)
         p.set_defaults(handler=handler)
-    parser.subcommands = sub.choices  # name -> its parser, for the one-parser route
+    parser.subcommands = sub.choices  # name -> its parser
     return parser
 
 
@@ -373,17 +377,7 @@ def _exact_parse(command: str, words: list[str]) -> SimpleNamespace | None:
 def _parse(argv: list[str]):
     if argv and argv[0] in _EXACT and (args := _exact_parse(argv[0], argv[1:])):
         return args
-    # the top-level parser would only scan argv, set args.command and hand the
-    # rest to the subcommand's parser; it serves just the argv that names no
-    # subcommand (none, -h, unknown)
-    parser = _parser()
-    if not argv or argv[0] not in _EXACT:
-        return parser.parse_args(argv)
-    args, extras = parser.subcommands[argv[0]].parse_known_args(
-        argv[1:], SimpleNamespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _parser().parse_args(argv)
 
 
 def _emit(args, record, lines):
@@ -407,7 +401,7 @@ def main(argv=None) -> int:
         _emit(args, exc.record, exc.lines)
         return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_cut(str(exc))}", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

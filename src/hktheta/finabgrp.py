@@ -26,9 +26,9 @@ mixed-radix strides s_i = o_{i+1}*...*o_r.  Adding t to coordinate i
 rotates each block of o_i*s_i bits by t*s_i, two masked shifts; H + <c>
 grows by doubling, H <- H | (H + c) and c <- 2c, so it takes about
 log2(order of c) translates.  The largest bitset is the largest p-group
-quotient, at most MAX_ENUMERATION_ORDER = 10^6 bits (125 KB).  The two
-cokernel routes share no code past the generator matrix, so each serves as
-an oracle for the other.  Invariant factors are normalised by gcd and lcm.
+quotient, at most MAX_ENUMERATION_ORDER = 10^6 bits (125 KB).  The two cokernel
+routes share no code past the generator matrix, so each serves as an oracle for the
+other.  Invariant factors are normalised by gcd and lcm (arith.divisor_chain).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, product
 
-from .arith import Record, factorint, int_tuple
+from .arith import Record, divisor_chain, factorint, int_tuple
 from .snf import smith_normal_form
 
 __all__ = [
@@ -196,8 +196,8 @@ class AbGroupStructure(Record):
     def from_cyclic_orders(cls, orders) -> "AbGroupStructure":
         """Invariant factors of a direct sum of cyclic groups of the given orders.
 
-        Carries each order down the chain by Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b).
-        The result is frozen, so equal order tuples share one memoised object.
+        Put in chain form by arith.divisor_chain's gcd/lcm carry, factors 1
+        dropped.  The result is frozen, so equal order tuples share one object.
         """
         return _structure_from_cyclic_orders(int_tuple(orders))
 
@@ -216,17 +216,7 @@ class AbGroupStructure(Record):
 
 @lru_cache(maxsize=1024)
 def _structure_from_cyclic_orders(orders: tuple) -> AbGroupStructure:
-    chain: list[int] = []
-    for o in orders:
-        if o < 1:
-            raise ValueError("cyclic orders must be positive")
-        if o == 1:
-            continue
-        for i in reversed(range(len(chain))):
-            chain[i], o = math.lcm(chain[i], o), math.gcd(chain[i], o)
-        if o > 1:
-            chain.insert(0, o)
-    return AbGroupStructure(tuple(chain))
+    return AbGroupStructure(tuple(d for d in divisor_chain(orders) if d > 1))
 
 
 def _square(rows, r: int):
@@ -335,8 +325,8 @@ def pairing_cokernel(pairing: Pairing) -> AbGroupStructure:
     o = pairing.group.orders
     r = pairing.group.rank
     aug = [list(m[i]) + [o[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    diag = smith_normal_form(aug, pairing.group.exponent)
-    return AbGroupStructure.from_cyclic_orders(d for d in diag if d > 1)
+    chain = smith_normal_form(aug, pairing.group.exponent)
+    return AbGroupStructure(tuple(d for d in chain if d > 1))
 
 
 def pairing_radical(pairing: Pairing) -> AbGroupStructure:

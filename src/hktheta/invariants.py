@@ -113,7 +113,9 @@ def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
     """Closed-form criterion: div in {1, 2 with n even} and gcd(n+1, q/2) = 1."""
     if q % 2:
         raise ValueError("the square q is always even; odd input rejected")
-    div0_kum(n, div)  # input validation
+    d0 = div0_kum(n, div)
+    if q % (2 * d0):  # refused as kum_cokernel refuses it: the key names no class
+        raise ValueError(f"2*div0 = {2 * d0} must divide q = {q}")
     small_div = div == 1 or (div == 2 and n % 2 == 0)
     return small_div and math.gcd(n + 1, q // 2) == 1
 

@@ -61,7 +61,7 @@ class GramLattice(Record):
             raise ValueError("gram matrix must be symmetric")
         if len(basis) != r:
             raise ValueError("basis labels must match the rank")
-        if integer_det([list(row) for row in gram]) == 0:
+        if integer_det(gram) == 0:
             raise ValueError("gram matrix must be nondegenerate")
         self._set(name, gram, basis, tuple(
             (i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x))

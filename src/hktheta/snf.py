@@ -3,25 +3,31 @@
 Matrices are lists (or tuples) of rows of Python ints.  The Smith form works
 modulo a fixed M (Domich, Kannan and Trotter, 1987), so no entry grows past M
 whatever the matrix size.  This is exact: the lattice of the columns plus
-M * Z^r contains M * Z^r, and unimodular row operations keep it there, so
-adding a multiple of M to any entry changes neither the lattice nor its quotient.
+M * Z^r contains M * Z^r, and unimodular row operations keep it there, so adding
+a multiple of M to any entry changes neither the lattice nor its quotient.  Each
+pivot takes one elimination pass; `arith.divisor_chain` orders the diagonal left.
 """
 
 from __future__ import annotations
 
 import math
+from operator import index
 
-from .arith import int_tuple
+from .arith import divisor_chain, int_tuple
 
 __all__ = ["integer_det", "smith_normal_form"]
 
 
-def _as_int_rows(mat) -> list[list[int]]:
-    rows = [list(int_tuple(r)) for r in mat]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
+def _as_int_rows(mat, modulus: int | None = None) -> list[list[int]]:
+    # each row copied once, to ints reduced mod modulus if one is given
+    try:
+        rows = ([list(map(index, r)) for r in mat] if modulus is None
+                else [[index(x) % modulus for x in r] for r in mat])
+    except TypeError:  # int_tuple names the entry in a one-line ValueError
+        list(map(int_tuple, mat))
+        raise
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged matrix")
     return rows
 
 
@@ -56,13 +62,14 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
     """Invariant factors d_1 | ... | d_r of Z^r / (columns of mat + modulus * Z^r).
 
     These are the diagonal of the Smith form of [mat | modulus * I], r being
-    the number of rows; every d_i divides modulus.
+    the number of rows; every d_i divides modulus.  One elimination pass per
+    pivot leaves a diagonal, put in chain form by arith.divisor_chain.
     """
-    a = [[x % modulus for x in r] for r in _as_int_rows(mat)]
+    a = _as_int_rows(mat, modulus)
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    t = 0
-    while t < rows:
+    diag = [modulus] * rows  # a row left without a pivot adds Z/modulus
+    for t in range(rows):
         nonzero = [(a[i][j], i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
         if not nonzero:
             break
@@ -90,12 +97,5 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
                             r[t], r[j] = r[j], r[t]
                         dirty = True
         # row t and column t are clear, so (pivot, modulus) span gcd * e_t
-        a[t][t] = math.gcd(a[t][t], modulus)
-        # the pivot must divide the whole trailing block for the divisor chain
-        for i in range(t + 1, rows):
-            if any(x % a[t][t] for x in a[i][t + 1 :]):
-                a[t] = [(x + y) % modulus for x, y in zip(a[t], a[i])]
-                break
-        else:
-            t += 1
-    return [a[i][i] for i in range(t)] + [modulus] * (rows - t)
+        diag[t] = math.gcd(a[t][t], modulus)
+    return divisor_chain(diag)

@@ -1190,7 +1190,7 @@ def test_the_parser_and_the_exact_parse_read_one_table():
 
 def test_one_request_is_one_parse(capsys, monkeypatch):
     # at most one: a well-formed request is parsed by none, a declined one by
-    # its subcommand's parser alone
+    # the full parse alone (the top-level parser, then its subcommand's)
     cli._parser()  # built before counting, as by an earlier declined request
     parse_known_args = argparse.ArgumentParser.parse_known_args
     calls = []
@@ -1208,14 +1208,11 @@ def test_one_request_is_one_parse(capsys, monkeypatch):
         (["og6", "--div", "1", "--q", "-4"], 0, "og6"),  # a value that starts with a dash
         (["kummer", "-h"], 0, "kummer"),
         (["og6", "--div", "1"], 2, "og6"),  # a missing option
+        (["rank4", "--e", "10", "extra"], 2, "rank4"),  # an unrecognized word
     ]:
         calls.clear()
         assert run_cli(capsys, *argv)[0] == code
-        assert calls == [f"hktheta {command}"], argv
-    calls.clear()
-    monkeypatch.setattr(cli, "_parse", _full_parse)
-    assert run_cli(capsys, "rank4", "--e", "10")[0] == 0
-    assert calls == ["hktheta", "hktheta rank4"]
+        assert calls == ["hktheta", f"hktheta {command}"], argv
 
 
 # ---------------------------------------------------------------------------
@@ -1250,6 +1247,17 @@ def test_a_short_usage_message_is_argparse_own(capsys):
     assert run_cli(capsys, "sweep", "--only", "x") == (
         2, "", cli.build_parser().subcommands["sweep"].format_usage()
         + f"hktheta sweep: error: argument --only: invalid choice: 'x' (choose from {choices})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kummer", "--n", "9" * 4000, "--div", "7", "--q", "2"],
+    ["lattice", "orbit", "--lattice=kum:" + "9" * 1000, "--vector=1,0,0,0,0,0,1"],
+], ids=["kummer", "lattice-orbit"])
+def test_domain_errors_that_echo_a_long_integer_stay_short(capsys, argv):
+    # each printed one error line of over 1,000 characters
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.endswith("...\n")
+    assert err.count("\n") == 1 and len(err) - 1 <= 160, err[:300]
 
 
 @pytest.mark.parametrize("argv", [

@@ -106,8 +106,11 @@ def test_kum_is_heisenberg_golden():
     assert kum_is_heisenberg(2, 2, 2)
     assert kum_is_heisenberg(2, 2, 8)
     assert not kum_is_heisenberg(2, 1, 6)
-    assert not kum_is_heisenberg(3, 2, 2)  # div 2 with n odd
+    assert not kum_is_heisenberg(3, 2, 8)  # div 2 with n odd
     assert not kum_is_heisenberg(3, 1, 4)  # gcd(4, 2) = 2
+    for route in (kum_is_heisenberg, kum_cokernel):  # 2*div0 must divide q
+        with pytest.raises(ValueError, match=r"^2\*div0 = 4 must divide q = 2$"):
+            route(3, 2, 2)
 
 
 def test_kum_criterion_iff_trivial_cokernel_small_grid():

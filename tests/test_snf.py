@@ -101,6 +101,9 @@ def test_smith_form_diagonal_golden():
     assert smith_normal_form([[0, 0], [0, 0]], 5) == [5, 5]
     assert smith_normal_form([[1, 0], [0, 1]], 7) == [1, 1]
     assert smith_normal_form([[5]], 12) == [1]
+    # pivots that divide no later diagonal entry: the chain comes from the carry
+    assert smith_normal_form([[4, 0, 0], [0, 6, 0], [0, 0, 10]], 120) == [2, 2, 60]
+    assert smith_normal_form([[2, 0, 0], [0, 3, 0], [0, 0, 5]], 30) == [1, 1, 30]
 
 
 @pytest.mark.parametrize("call", [
