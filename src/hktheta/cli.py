@@ -64,6 +64,8 @@ _QUOTED_CHARS = 40  # of an input echoed in an error line
 _USAGE_CHARS, _USAGE_CUT = 250, 150  # a longer usage/error message keeps 150 chars and "..."
 _DIGITS_ERROR = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"
 MAX_DOCUMENT_BYTES = 2**25  # a compact rank-100 document at MAX_ENTRY_DIGITS is about 20 MB
+# json.loads with parse_int builds a decoder per call; it stays only for a BOM's error
+_DOCUMENT_DECODER = json.JSONDecoder(parse_int=_order_literal)
 
 
 def _cut(message: str) -> str:
@@ -207,7 +209,7 @@ def _load_pairing(path: str):
     # decoded as a text-mode open() reads it: UTF-8, universal newlines
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(text, parse_int=_order_literal)
+        doc = (json.loads if text.startswith("\ufeff") else _DOCUMENT_DECODER.decode)(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise ValueError(f"malformed pairing document: {exc}") from exc
     return pairing_from_dict(doc)
@@ -233,10 +235,9 @@ def _cmd_heisenberg(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
-    elem = _parse_heis_elem(args.d, args.elem)
-    mat = schrodinger_matrix(elem)
-    phases = ["%d/%d" % _reduced(p, mat.modulus) for p in mat.phases]
-    record = {"dim": mat.dim, "perm": list(mat.perm), "phases": phases}
+    mat = schrodinger_matrix(_parse_heis_elem(args.d, args.elem))
+    labels = {p: "%d/%d" % _reduced(p, mat.modulus) for p in set(mat.phases)}
+    record = {"dim": mat.dim, "perm": list(mat.perm), "phases": list(map(labels.get, mat.phases))}
     lines = [f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
              "phases: " + " ".join(record["phases"])]
     return record, lines

@@ -7,7 +7,7 @@ e : G x G -> Q/Z, stored by its values on pairs of generators as integers
 in units of 1/exponent; e(a, b) is summed over the nonzero ones only, as
 model pairings are mostly zero.  QmodZ values are built only at the edges:
 `Pairing.matrix`, eval_pairing's value and Pairing(group, matrix) itself;
-documents and the models go straight to and from integers.
+documents, models and tensors hand integer units to one validation loop.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel is computed through exact Smith normal form over Z, taken modulo
@@ -37,7 +37,7 @@ import math
 import operator
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import product
 
 from .arith import Record, divisor_chain, factorint, int_tuple
 from .snf import smith_normal_form
@@ -79,12 +79,18 @@ MAX_ENTRY_DIGITS = 1000  # per side of "a/b"; int() never reads a longer one
 
 
 def _parse_fraction(text: str) -> tuple[int, int]:
-    """The reduced pair of "a/b", or of a bare integer "a" (which is zero mod 1)."""
+    """The integers (a, b) of "a/b", or (a, 1) for a bare integer "a"."""
     a, slash, b = text.strip().partition("/")
     if len(a) > MAX_ENTRY_DIGITS or len(b) > MAX_ENTRY_DIGITS:
         raise ValueError(f"fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} "
                          f"digits per side")
-    return _reduced(int(a), int(b) if slash else 1)
+    return int(a), int(b) if slash else 1
+
+
+def _units(num: int, den: int, n: int):
+    """num/den as units of 1/n mod n, or its reduced pair if it is none; _reduced refuses den 0."""
+    u, rest = divmod(num * n, den) if den else (0, 1)
+    return _reduced(num, den) if rest else u % n
 
 
 class QmodZ(Record):
@@ -129,7 +135,8 @@ class QmodZ(Record):
 class FinAbGroup(Record):
     """Direct product of cyclic groups; orders[i] is the order of generator i."""
 
-    __slots__ = ("orders",)
+    __slots__ = ("orders", "exponent")
+    _fields = ("orders",)  # the exponent, lcm(orders), is set once and never compared
 
     def __init__(self, orders: tuple[int, ...]):
         orders = int_tuple(orders)
@@ -137,7 +144,7 @@ class FinAbGroup(Record):
             raise ValueError("at least one cyclic factor required")
         if any(o < 2 for o in orders):
             raise ValueError("cyclic factor orders must be >= 2")
-        object.__setattr__(self, "orders", orders)
+        self._set(orders, math.lcm(*orders))
 
     @property
     def rank(self) -> int:
@@ -146,10 +153,6 @@ class FinAbGroup(Record):
     @property
     def order(self) -> int:
         return math.prod(self.orders)
-
-    @property
-    def exponent(self) -> int:
-        return math.lcm(*self.orders)
 
     def element(self, coords) -> "GroupElement":
         return GroupElement(self, tuple(coords))
@@ -234,9 +237,9 @@ class Pairing(Record):
     (_units, which equality and hash read) and as its nonzero entries
     (i, j, u) (_entries), over which eval_pairing sums.  Skewness forces a
     zero diagonal, and biadditivity forces the reduced denominator of
-    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Pairing(group,
-    matrix) takes QmodZ values; the other constructors hand reduced
-    (num, den) pairs to the same integer checks (_of).
+    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Every constructor
+    hands units to the same integer checks (_of); an entry that is no multiple
+    of 1/exponent comes as its reduced pair and fails where a QmodZ would.
     """
 
     __slots__ = ("group", "_units", "_entries")
@@ -246,30 +249,31 @@ class Pairing(Record):
         rows = _square(matrix, group.rank)
         if any(not isinstance(q, QmodZ) for row in rows for q in row):
             raise ValueError("pairing entries must be QmodZ")
-        self._fill(group, [[(q.num, q.den) for q in row] for row in rows])
+        self._fill(group, [[_units(q.num, q.den, group.exponent) for q in row] for row in rows])
 
     @classmethod
-    def _of(cls, group: FinAbGroup, fracs) -> "Pairing":
-        """The pairing whose value on (gen_i, gen_j) is the reduced pair fracs[i][j]."""
-        pairing = object.__new__(cls)
-        pairing._fill(group, fracs)
-        return pairing
+    def _of(cls, group: FinAbGroup, units) -> "Pairing":
+        """The pairing whose value on (gen_i, gen_j) is units[i][j] / exponent."""
+        return object.__new__(cls)._fill(group, units)
 
-    def _fill(self, group: FinAbGroup, fracs):
-        # per row i the diagonal, then for each j skewness and the order check
+    def _fill(self, group: FinAbGroup, units):
+        # per row i the diagonal, then per j > i skewness and order (at j < i they
+        # repeat those of (j, i)); ints are reduced mod n, pairs are no multiple of 1/n
         o, n = group.orders, group.exponent
-        for i, row in enumerate(fracs):
-            if row[i][0]:
+        for i, row in enumerate(units):
+            if row[i]:
                 raise ValueError("pairing must vanish on the diagonal")
-            for j, (num, den) in enumerate(row):
-                if fracs[j][i] != (-num % den, den):
+            for j, u in enumerate(row[i + 1:], i + 1):
+                off = type(u) is tuple
+                if units[j][i] != ((-u[0] % u[1], u[1]) if off else -u % n):
                     raise ValueError("pairing matrix must be skew")
-                if math.gcd(o[i], o[j]) % den:
-                    raise ValueError(
-                        f"entry {num}/{den} at ({i},{j}) is incompatible with generator orders")
-        units = tuple(tuple(num * (n // den) for num, den in row) for row in fracs)
+                if off or u * math.gcd(o[i], o[j]) % n:
+                    raise ValueError("entry %d/%d at (%d,%d) is incompatible with generator "
+                                     "orders" % ((u if off else _reduced(u, n)) + (i, j)))
+        units = tuple(map(tuple, units))
         self._set(group, units, tuple(
             (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
+        return self
 
     @property
     def matrix(self) -> tuple[tuple[QmodZ, ...], ...]:
@@ -316,17 +320,16 @@ def e_matrix(pairing: Pairing) -> tuple[tuple[int, ...], ...]:
 def pairing_cokernel(pairing: Pairing) -> AbGroupStructure:
     """Invariant factors of Ghat / im(E), via Smith normal form.
 
-    The cokernel is Z^r modulo the columns of e_matrix together with the
-    relation columns orders[i] * (dual generator i).  The Smith form works
-    modulo the exponent N: every orders[i] divides N, so N * Z^r already lies
-    in that lattice and the reduction leaves the quotient unchanged.
+    The cokernel is Z^r modulo the nonzero columns of e_matrix, built from the
+    units, and the relation columns orders[i] * (dual generator i).  The Smith
+    form works modulo the exponent N, which every orders[i] divides, so the
+    quotient is unchanged; a relation column of order N is zero, so it is left out.
     """
-    m = e_matrix(pairing)
-    o = pairing.group.orders
-    r = pairing.group.rank
-    aug = [list(m[i]) + [o[i] if j == i else 0 for j in range(r)] for i in range(r)]
-    chain = smith_normal_form(aug, pairing.group.exponent)
-    return AbGroupStructure(tuple(d for d in chain if d > 1))
+    o, n = pairing.group.orders, pairing.group.exponent
+    live = [row for row in pairing._units if any(row)]  # row j of units: column j of E
+    aug = [[row[i] * oi // n for row in live]
+           + [oi if k == i else 0 for k, ok in enumerate(o) if ok != n] for i, oi in enumerate(o)]
+    return AbGroupStructure(tuple(d for d in smith_normal_form(aug, n) if d > 1))
 
 
 def pairing_radical(pairing: Pairing) -> AbGroupStructure:
@@ -422,16 +425,16 @@ def brute_cokernel(pairing: Pairing) -> AbGroupStructure:
 
 
 def zero_pairing(group: FinAbGroup) -> Pairing:
-    return Pairing._of(group, [[(0, 1)] * group.rank] * group.rank)
+    return Pairing._of(group, [[0] * group.rank] * group.rank)
 
 
 def _pairing_from_pairs(group: FinAbGroup, pairs) -> Pairing:
-    # pairs: iterable of (i, j, (num, den)); skew completion is automatic
-    r = group.rank
-    fracs = [[(0, 1)] * r for _ in range(r)]
-    for i, j, (num, den) in pairs:
-        fracs[i][j], fracs[j][i] = _reduced(num, den), _reduced(-num, den)
-    return Pairing._of(group, fracs)
+    # pairs: iterable of (i, j, u), u in units of 1/exponent; skew completion is automatic
+    r, n = group.rank, group.exponent
+    units = [[0] * r for _ in range(r)]
+    for i, j, u in pairs:
+        units[i][j], units[j][i] = u % n, -u % n
+    return Pairing._of(group, units)
 
 
 def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:
@@ -446,7 +449,7 @@ def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:
         if b < 1 or (n + 1) % b:
             raise ValueError(f"multiplier {b} does not divide {n + 1}")
     group = FinAbGroup((n + 1,) * 4)
-    return _pairing_from_pairs(group, [(0, 1, (b1, n + 1)), (2, 3, (b2, n + 1))])
+    return _pairing_from_pairs(group, [(0, 1, b1), (2, 3, b2)])
 
 
 class OG6PairingCase(Enum):
@@ -464,9 +467,8 @@ def standard_og6_pairing(case: OG6PairingCase) -> Pairing:
     """
     case = OG6PairingCase(case)
     group = FinAbGroup((2,) * 8)
-    half = (1, 2)
-    first = [(0, 1, half), (2, 3, half)]
-    second = [(4, 5, half), (6, 7, half)]
+    first = [(0, 1, 1), (2, 3, 1)]  # 1/2 in units of 1/2
+    second = [(4, 5, 1), (6, 7, 1)]
     if case is OG6PairingCase.DIV1_NOT4:
         return _pairing_from_pairs(group, first + second)
     if case is OG6PairingCase.DIV1_DIV4:
@@ -480,7 +482,7 @@ def tensor_pairing(p1: Pairing, p2: Pairing) -> Pairing:
         raise ValueError("pairings live on different groups")
     n = p1.group.exponent
     return Pairing._of(p1.group, [
-        [_reduced(a + b, n) for a, b in zip(r1, r2)] for r1, r2 in zip(p1._units, p2._units)])
+        [(a + b) % n for a, b in zip(r1, r2)] for r1, r2 in zip(p1._units, p2._units)])
 
 
 def pairing_to_dict(pairing: Pairing) -> dict:
@@ -509,9 +511,9 @@ def _order_literal(text: str) -> int:
 def pairing_from_dict(obj) -> Pairing:
     """Inverse of pairing_to_dict; malformed documents, and documents of rank
     above MAX_PAIRING_RANK or exponent above 2^MAX_EXPONENT_BITS, raise
-    ValueError.  The group (its rank, then its exponent, as a running lcm) and
-    the matrix shape are checked before any entry is read; each "a/b" is
-    read straight into a reduced integer pair."""
+    ValueError.  The group (its rank, then its exponent) and the matrix shape
+    are checked before any entry is read; each "a/b" is read straight into
+    units of 1/exponent, once per distinct entry text of the document."""
     try:
         orders = tuple(obj["orders"])
         if len(orders) > MAX_PAIRING_RANK:
@@ -521,9 +523,12 @@ def pairing_from_dict(obj) -> Pairing:
         if bad:
             raise ValueError(f"malformed pairing document: order {bad[0]!r} is not an integer")
         group = FinAbGroup(orders)
-        if any(e.bit_length() > MAX_EXPONENT_BITS for e in accumulate(group.orders, math.lcm)):
+        if (n := group.exponent).bit_length() > MAX_EXPONENT_BITS:
             raise ValueError(_EXPONENT_ERROR)
-        fracs = [[_parse_fraction(s) for s in row] for row in _square(obj["matrix"], len(orders))]
+        memo = {}  # entry text -> units; a non-str entry raises in _parse_fraction
+        units = [[memo[s] if type(s) is str and s in memo
+                  else memo.setdefault(s, _units(*_parse_fraction(s), n)) for s in row]
+                 for row in _square(obj["matrix"], len(orders))]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc
-    return Pairing._of(group, fracs)
+    return Pairing._of(group, units)

@@ -234,8 +234,8 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     div0 = m = None
     if inv.family is Family.KUM:
         div0 = div0_kum(inv.n, inv.div)
-        m = m_kum(inv.n, inv.q, div0)
-        cokernel = kum_cokernel(inv.n, inv.div, inv.q)
+        m = m_kum(inv.n, inv.q, div0)  # one evaluation: kum_cokernel's formula on these
+        cokernel = AbGroupStructure.from_cyclic_orders((div0, div0, m, m))
         criterion = kum_is_heisenberg(inv.n, inv.div, inv.q)
         rep_type = (inv.n + 1, inv.n + 1)
     elif inv.family is Family.OG6:

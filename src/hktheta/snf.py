@@ -4,8 +4,8 @@ Matrices are lists (or tuples) of rows of Python ints.  The Smith form works
 modulo a fixed M (Domich, Kannan and Trotter, 1987), so no entry grows past M
 whatever the matrix size.  This is exact: the lattice of the columns plus
 M * Z^r contains M * Z^r, and unimodular row operations keep it there, so adding
-a multiple of M to any entry changes neither the lattice nor its quotient.  Each
-pivot takes one elimination pass; `arith.divisor_chain` orders the diagonal left.
+a multiple of M to any entry changes neither the lattice nor its quotient.  The
+column stage changes only the pivot row; `arith.divisor_chain` orders the diagonal.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
     """Invariant factors d_1 | ... | d_r of Z^r / (columns of mat + modulus * Z^r).
 
     These are the diagonal of the Smith form of [mat | modulus * I], r being
-    the number of rows; every d_i divides modulus.  One elimination pass per
-    pivot leaves a diagonal, put in chain form by arith.divisor_chain.
+    the number of rows; every d_i divides modulus.  Row steps clear a pivot's
+    column, then column steps its row; arith.divisor_chain chains the diagonal.
     """
     a = _as_int_rows(mat, modulus)
     rows = len(a)
@@ -77,25 +77,19 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
         a[t], a[pi] = a[pi], a[t]
         for r in a:
             r[t], r[pj] = r[pj], r[t]
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [(x - q * y) % modulus for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
+        while True:
+            for i in range(t + 1, rows):  # the row stage: Euclid on rows t and i
+                while a[i][t]:
+                    q = a[t][t] // a[i][t]
+                    a[t], a[i] = a[i], [(y - q * x) % modulus for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, cols):  # column t is clear: a column step changes row t alone
+                a[t][j] %= a[t][t]
+                if a[t][j]:  # a remainder: it becomes the pivot, and round again
                     for r in a:
-                        r[j] = (r[j] - q * r[t]) % modulus
-                    if a[t][j]:
-                        for r in a:
-                            r[t], r[j] = r[j], r[t]
-                        dirty = True
+                        r[t], r[j] = r[j], r[t]
+                    break
+            else:
+                break
         # row t and column t are clear, so (pivot, modulus) span gcd * e_t
         diag[t] = math.gcd(a[t][t], modulus)
-    return divisor_chain(diag)
+    return [1] * diag.count(1) + divisor_chain([d for d in diag if d > 1])  # 1s lead the chain

@@ -159,14 +159,13 @@ def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
-    # the (div, q) route planted to answer (7,): nontrivial, as the criterion
-    # wants at n = 2, q = 6, so only the CLI's comparison can catch it
+    # the (div, q) route planted with m = 7, so its cokernel is (7, 7): nontrivial,
+    # as the criterion wants at n = 2, q = 6, so only the CLI's comparison can catch it
     planted = (
         "import sys\n"
         "import hktheta.cli as cli\n"
         "import hktheta.invariants as invariants\n"
-        "from hktheta.finabgrp import AbGroupStructure\n"
-        "invariants.kum_cokernel = lambda n, div, q: AbGroupStructure((7,))\n"
+        "invariants.m_kum = lambda n, q, div0: 7\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(
@@ -176,7 +175,7 @@ def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
         text=True,
         env=_child_env(),
     )
-    err = "internal check failed: class route and (div, q) route disagree: [3, 3] vs [7]\n"
+    err = "internal check failed: class route and (div, q) route disagree: [3, 3] vs [7, 7]\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
@@ -480,6 +479,15 @@ def test_pairing_deeply_nested_document(capsys, tmp_path, text):
     assert err.startswith("error: malformed pairing document: maximum recursion depth exceeded")
 
 
+def test_pairing_document_with_a_bom_gets_json_loads_error(capsys, tmp_path):
+    # one decoder serves every document; a leading BOM still gets json.loads' line
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"orders": [2], "matrix": [["0/1"]]}).encode())
+    assert run_cli(capsys, "pairing", "cokernel", "--file", str(path)) == (1, "", (
+        "error: malformed pairing document: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)\n"))
+
+
 def test_pairing_at_the_exponent_limit_answers(capsys, tmp_path):
     n = 2**MAX_EXPONENT_BITS - 1  # exponent of exactly MAX_EXPONENT_BITS bits
     zero = tmp_path / "zero.json"
@@ -662,6 +670,35 @@ def test_schrodinger_goldens(capsys):
         capsys, "schrodinger", "matrix", "--d", "8,8", "--elem", "3/8;(3,5);(6,1)", "--json"
     )
     assert (code, out) == (0, GOLDEN_SCHRODINGER_8x8 + "\n")
+
+
+# the parent's phases for "1/9;(3,5);(6,1)" on (8,8), phase modulus 72: 64
+# columns that take only 8 distinct values
+_PHASES_1_9 = (["17/72", "71/72", "53/72", "35/72"] * 2 + ["13/36", "1/9", "31/36", "11/18"] * 2
+               + ["35/72", "17/72", "71/72", "53/72"] * 2 + ["11/18", "13/36", "1/9", "31/36"] * 2
+               + ["53/72", "35/72", "17/72", "71/72"] * 2 + ["31/36", "11/18", "13/36", "1/9"] * 2
+               + ["71/72", "53/72", "35/72", "17/72"] * 2 + ["1/9", "31/36", "11/18", "13/36"] * 2)
+_PERM_1_9 = [29, 30, 31, 24, 25, 26, 27, 28, 37, 38, 39, 32, 33, 34, 35, 36, 45, 46, 47, 40, 41,
+             42, 43, 44, 53, 54, 55, 48, 49, 50, 51, 52, 61, 62, 63, 56, 57, 58, 59, 60, 5, 6, 7,
+             0, 1, 2, 3, 4, 13, 14, 15, 8, 9, 10, 11, 12, 21, 22, 23, 16, 17, 18, 19, 20]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_schrodinger_labels_each_distinct_phase_once(capsys, monkeypatch, as_json):
+    # each distinct phase is reduced once and its label reused for every column holding it
+    reduced = []
+    monkeypatch.setattr(cli, "_reduced",
+                        lambda *args: reduced.append(args) or finabgrp._reduced(*args))
+    argv = ["schrodinger", "matrix", "--d", "8,8", "--elem", "1/9;(3,5);(6,1)"]
+    code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+    assert len(reduced) == len(set(_PHASES_1_9)) == 8
+    perm = ", ".join(map(str, _PERM_1_9))
+    if as_json:
+        phases = ", ".join(f'"{p}"' for p in _PHASES_1_9)
+        want = '{"dim": 64, "perm": [%s], "phases": [%s]}\n' % (perm, phases)
+    else:
+        want = "dim: 64\nperm: %s\nphases: %s\n" % (perm.replace(",", ""), " ".join(_PHASES_1_9))
+    assert (code, out, err) == (0, want, "")
 
 
 def test_heisenberg_commutator_large_type(capsys):

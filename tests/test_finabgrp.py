@@ -47,6 +47,7 @@ from hktheta.finabgrp import _image_closure
 from hk_helpers import (
     as_fraction,
     check_pairing_matrix,
+    pairing_from_dict_by_qmodz,
     qmodz_sum,
     span_by_closure,
     symplectic_pairing,
@@ -285,6 +286,35 @@ def test_pairing_error_lines(orders, mat, error):
     assert _error_line(lambda: Pairing(FinAbGroup(orders), mat)) == error
 
 
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        # the first fault the loop meets is skewness at (0,1), before the 1/5 at (1,2)
+        ([["0/1", "1/2", "0/1"], ["0/1", "0/1", "1/5"], ["0/1", "4/5", "0/1"]],
+         "pairing matrix must be skew"),
+        # the 1/5 at (0,1) is skew with its partner: its order check fires first
+        ([["0/1", "1/5", "0/1"], ["4/5", "0/1", "1/2"], ["0/1", "0/1", "0/1"]],
+         "entry 1/5 at (0,1) is incompatible with generator orders"),
+    ],
+    ids=["skew-first", "order-first"],
+)
+def test_document_with_two_faults_reports_the_first_in_loop_order(matrix, error):
+    # an entry off the units of 1/exponent is refused inside the loop, in the
+    # place of the QmodZ reference, not as soon as it is read
+    doc = {"orders": [2, 2, 2], "matrix": matrix}
+    assert _error_line(lambda: pairing_from_dict(doc)) == error
+    assert _error_line(lambda: pairing_from_dict_by_qmodz(doc)) == error
+
+
+def test_accepted_document_reaches_the_smith_form_without_reducing_a_fraction(
+        monkeypatch, wide_pairing_doc):
+    # entries go straight to units of 1/exponent: no gcd-reduced pair on the way
+    reduced = []
+    monkeypatch.setattr(finabgrp, "_reduced", lambda *args: reduced.append(args))
+    p = pairing_from_dict(wide_pairing_doc)
+    assert pairing_cokernel(p) == AbGroupStructure((3, 120)) and reduced == []
+
+
 def test_skew_with_order_two_entries():
     # on (Z/2)^2 a value of 1/2 is its own negative, so this is legal
     p = symplectic_pairing(2, 1)
@@ -359,6 +389,25 @@ def test_cokernel_golden():
     assert pairing_cokernel(standard_kum_pairing(2, 1, 3)).invariant_factors == (3, 3)
     assert pairing_cokernel(standard_kum_pairing(2, 1, 1)).is_trivial()
     assert pairing_cokernel(standard_kum_pairing(4, 5, 5)).invariant_factors == (5, 5, 5, 5)
+
+
+def test_cokernel_golden_with_and_without_relation_columns():
+    # a generator of order N = exponent adds no relation column to the Smith
+    # form's input (all four generators of the Kummer model, some in the
+    # others), and one that pairs to zero with every generator adds no column
+    # of e_matrix (all in the zero pairing, two in (6,6,2,3), none in the rest)
+    two_four = pairing_from_dict({"orders": [2, 4, 4], "matrix": [
+        ["0/1", "1/2", "0/1"], ["1/2", "0/1", "1/4"], ["0/1", "3/4", "0/1"]]})
+    six_two_three = pairing_from_dict({"orders": [6, 6, 2, 3], "matrix": [
+        ["0/1", "1/6", "0/1", "0/1"], ["5/6", "0/1", "0/1", "0/1"], ["0/1"] * 4, ["0/1"] * 4]})
+    cases = [
+        (zero_pairing(FinAbGroup((2, 6, 6))), (2, 6, 6)),
+        (two_four, (2,)),
+        (six_two_three, (6,)),
+        (standard_kum_pairing(5, 2, 3), (6, 6)),
+    ]
+    for p, factors in cases:
+        assert pairing_cokernel(p) == brute_cokernel(p) == AbGroupStructure(factors)
 
 
 def test_cokernel_golden_wide_document(wide_pairing_doc):
@@ -889,8 +938,8 @@ def test_integer_routes_build_no_qmodz(monkeypatch):
 
 
 def test_pairing_document_exponent_is_checked_before_any_entry():
-    # orders no JSON text could carry: the running lcm stops at the first
-    # order past the limit, and no entry (here, none is valid) is read
+    # orders no JSON text could carry: the group's exponent is refused before
+    # any entry (here, none is valid) is read
     start = time.perf_counter()
     for orders in ([10**5000, 2], [2, 3**2000], [7**300 + 2 * i for i in range(100)]):
         with pytest.raises(ValueError, match=f"MAX_EXPONENT_BITS = {MAX_EXPONENT_BITS} bits"):

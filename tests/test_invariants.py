@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from hktheta import invariants
 from hktheta.arith import divisors
 from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
@@ -296,6 +297,22 @@ def test_theta_report_heisenberg_kum():
     assert (rep.div0, rep.m) == (1, 1)
     assert rep.h0 == 9
     assert rep.schrodinger_multiplicity == 1
+
+
+def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
+    # the report's div0 and m, and its cokernel, come from one evaluation; the
+    # criterion, checked against the cokernel, evaluates div0 on its own
+    calls = {"div0_kum": 0, "m_kum": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(invariants, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(invariants, name, counted)
+    rep = theta_report(kum_inv(2, 3, 6))
+    assert calls["div0_kum"] <= 2 and calls["m_kum"] <= 1
+    assert (rep.div0, rep.m, rep.cokernel.invariant_factors, rep.is_heisenberg) == (
+        3, 1, (3, 3), False)
 
 
 def test_theta_report_non_heisenberg_kum():

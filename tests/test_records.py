@@ -110,6 +110,20 @@ def test_entries_take_no_part_in_equality_hash_or_repr():
         assert forged == rec and hash(forged) == hash(rec) and repr(forged) == repr(rec)
 
 
+def test_group_exponent_is_stored_once_and_never_compared():
+    g = FinAbGroup((4, 6))
+    assert g.exponent == 12 and FinAbGroup._fields == ("orders",)
+    assert repr(g) == "FinAbGroup(orders=(4, 6))" and g._asdict() == {"orders": (4, 6)}
+    assert hash(g) == hash((4, 6))
+    twin = pickle.loads(pickle.dumps(g))
+    assert twin == g and hash(twin) == hash(g) and twin.exponent == 12
+    with pytest.raises(AttributeError):
+        g.exponent = 24
+    forged = copy.copy(g)
+    object.__setattr__(forged, "exponent", 5)
+    assert forged == g and hash(forged) == hash(g) and repr(forged) == repr(g)
+
+
 def test_repr_keeps_the_dataclass_text():
     assert repr(QmodZ(1, 2)) == "QmodZ(num=1, den=2)"
     assert repr(FinAbGroup((2, 3))) == "FinAbGroup(orders=(2, 3))"
