@@ -145,14 +145,14 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
     q_route = args.div is not None or args.q is not None
     class_route = args.a1 is not None or args.a2 is not None or args.x is not None
     if q_route == class_route:
-        raise _Usage("provide either --div and --q, or --a1, --a2 and --x")
+        _parser().error("provide either --div and --q, or --a1, --a2 and --x")
     if q_route:
         if args.div is None or args.q is None:
-            raise _Usage("the (div, q) route needs both --div and --q")
+            _parser().error("the (div, q) route needs both --div and --q")
         return _theta_record(
             LineBundleInvariants(family=Family.KUM, div=args.div, q=args.q, n=args.n))
     if args.a1 is None or args.a2 is None or args.x is None:
-        raise _Usage("the class route needs --a1, --a2 and --x")
+        _parser().error("the class route needs --a1, --a2 and --x")
     # the one comparison of the class formula with the (div, q) route
     from_class = list(kum_cokernel_from_class(args.n, args.a1, args.a2, args.x).invariant_factors)
     base = report_to_dict(theta_report(kum_class_invariants(args.n, args.a1, args.a2, args.x)))
@@ -257,10 +257,6 @@ def _cmd_sweep(args) -> tuple[list, list[str]]:
     if total.failed:
         raise _SweepFailure(record, lines)
     return record, lines
-
-
-class _Usage(Exception):
-    """Missing/conflicting flags detected after parsing: maps to exit code 2."""
 
 
 class _SweepFailure(Exception):
@@ -396,8 +392,6 @@ def main(argv=None) -> int:
         _parser().error(f"argument --{dest}: expected one argument")
     try:
         record, lines = args.handler(args)
-    except _Usage as exc:
-        _parser().error(str(exc))  # exits with code 2
     except _SweepFailure as exc:
         _emit(args, exc.record, exc.lines)
         return 1

@@ -6,7 +6,11 @@ family (group (Z/2)^8), and the RANK4 family of modular sheaves on
 Kummer-type fourfolds (Schrodinger type (3,3)).
 
 For KUM the commutator-pairing cokernel is (Z/div0)^2 + (Z/m)^2, where
-div0 = gcd(n+1, div) and m = gcd(n+1, q/(2*div0)).  For OG6 it is trivial,
+div0 = gcd(n+1, div) and m = gcd(n+1, q/(2*div0)).  kum_div0_m is the one
+home of this formula and of the (div, q) key's rules.  Its known limit: when
+div0 > 1 the cokernel also depends on the orbit +-x0 mod div of the class, so
+at n = 24 the key (div, q) = (5, 50) has the cokernels [5, 5, 5, 5] and
+[5, 5, 25, 25], and the closed form gives only the first.  For OG6 it is trivial,
 (Z/2)^4, or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial
 or (Z/3)^2 according to 3 | e.  Each family also carries a closed-form
 Heisenberg criterion; theta_report computes criterion and cokernel
@@ -26,8 +30,7 @@ __all__ = [
     "Family",
     "LineBundleInvariants",
     "ThetaReport",
-    "div0_kum",
-    "m_kum",
+    "kum_div0_m",
     "kum_cokernel",
     "kum_is_heisenberg",
     "kum_cokernel_from_class",
@@ -60,10 +63,7 @@ class LineBundleInvariants(Record):
         if div < 1:
             raise ValueError("divisibility must be positive")
         if family is Family.KUM:
-            if n is None or n < 2:
-                raise ValueError("KUM requires n >= 2")
-            if (2 * (n + 1)) % div:
-                raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
+            kum_div0_m(n, div, q)
         elif family is Family.OG6:
             if n is not None:
                 raise ValueError("OG6 takes no parameter n")
@@ -80,42 +80,28 @@ class LineBundleInvariants(Record):
         self._set(family, div, q, n)
 
 
-def div0_kum(n: int, div: int) -> int:
-    """gcd(n+1, div): div itself, or div/2 when div has more factors 2 than n+1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+def kum_div0_m(n: int | None, div: int, q: int) -> tuple[int, int]:
+    """The Kummer (div, q) key's rules and its (div0, m): div0 = gcd(n+1, div)
+    and m = gcd(n+1, q/(2*div0)), a gcd of absolute values, so any sign of q works."""
+    if n is None or n < 2:
+        raise ValueError("KUM requires n >= 2")
     if div < 1 or (2 * (n + 1)) % div:
         raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
-    return math.gcd(n + 1, div)
-
-
-def m_kum(n: int, q: int, div0: int) -> int:
-    """gcd(n+1, q/(2*div0)); gcd of absolute values, so any sign of q works."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if div0 < 1:
-        raise ValueError("div0 must be positive")
+    div0 = math.gcd(n + 1, div)
     if q % (2 * div0):
         raise ValueError(f"2*div0 = {2 * div0} must divide q = {q}")
-    return math.gcd(n + 1, q // (2 * div0))
+    return div0, math.gcd(n + 1, q // (2 * div0))
 
 
 def kum_cokernel(n: int, div: int, q: int) -> AbGroupStructure:
     """(Z/div0)^2 + (Z/m)^2 in divisor-chain form, trivial factors dropped."""
-    if q % 2:
-        raise ValueError("the square q is always even; odd input rejected")
-    d0 = div0_kum(n, div)
-    m = m_kum(n, q, d0)
+    d0, m = kum_div0_m(n, div, q)
     return AbGroupStructure.from_cyclic_orders((d0, d0, m, m))
 
 
 def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
     """Closed-form criterion: div in {1, 2 with n even} and gcd(n+1, q/2) = 1."""
-    if q % 2:
-        raise ValueError("the square q is always even; odd input rejected")
-    d0 = div0_kum(n, div)
-    if q % (2 * d0):  # refused as kum_cokernel refuses it: the key names no class
-        raise ValueError(f"2*div0 = {2 * d0} must divide q = {q}")
+    kum_div0_m(n, div, q)  # the key's rules only: the criterion is its own route
     small_div = div == 1 or (div == 2 and n % 2 == 0)
     return small_div and math.gcd(n + 1, q // 2) == 1
 
@@ -233,8 +219,7 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     """
     div0 = m = None
     if inv.family is Family.KUM:
-        div0 = div0_kum(inv.n, inv.div)
-        m = m_kum(inv.n, inv.q, div0)  # one evaluation: kum_cokernel's formula on these
+        div0, m = kum_div0_m(inv.n, inv.div, inv.q)
         cokernel = AbGroupStructure.from_cyclic_orders((div0, div0, m, m))
         criterion = kum_is_heisenberg(inv.n, inv.div, inv.q)
         rep_type = (inv.n + 1, inv.n + 1)

@@ -29,10 +29,10 @@ from .finabgrp import (
 from .invariants import (
     Family,
     LineBundleInvariants,
-    div0_kum,
     kum_class_invariants,
     kum_cokernel,
     kum_cokernel_from_class,
+    kum_div0_m,
     kum_is_heisenberg,
     og6_cokernel,
     rank4_a,
@@ -93,12 +93,12 @@ def _draw(rng: random.Random, lo: int, hi: int, k: int) -> memoryview:
 def sweep_kum_criterion() -> SweepResult:
     """Cokernel triviality matches the closed-form Heisenberg criterion,
     for 2 <= n <= 12, every div | 2(n+1) and every q in [-200, 200] that
-    2*div0 divides (the admissible pairs)."""
+    2*div0 divides: every key the closed forms accept, realisable or not."""
 
     def outcomes():
         for n in range(2, 13):
             for div in divisors(2 * (n + 1)):
-                step = 2 * div0_kum(n, div)
+                step = 2 * kum_div0_m(n, div, 0)[0]
                 for q in range(-(200 // step) * step, 201, step):
                     yield kum_cokernel(n, div, q).is_trivial() == kum_is_heisenberg(n, div, q)
 

@@ -159,13 +159,13 @@ def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
 def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
-    # the (div, q) route planted with m = 7, so its cokernel is (7, 7): nontrivial,
+    # the (div, q) route planted with div0 = 1, m = 7, so its cokernel is (7, 7): nontrivial,
     # as the criterion wants at n = 2, q = 6, so only the CLI's comparison can catch it
     planted = (
         "import sys\n"
         "import hktheta.cli as cli\n"
         "import hktheta.invariants as invariants\n"
-        "invariants.m_kum = lambda n, q, div0: 7\n"
+        "invariants.kum_div0_m = lambda n, div, q: (1, 7)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(
@@ -1485,6 +1485,31 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/hktheta: {', '.join(found)}"
+
+
+def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
+    # the (div, q) key's three rules have one home; an orbit x0 or a
+    # realisability rule belongs there too, not in the callers
+    rules = {"KUM requires n >= 2", "divisibility {} must divide {}",
+             "2*div0 = {} must divide q = {}"}
+
+    def template(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+
+    src = Path(hktheta.__file__).resolve().parent
+    found = {
+        (f"{path.stem}.{function.name}", template(node))
+        for path in sorted(src.glob("*.py"))
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for statement in ast.walk(function) if isinstance(statement, ast.Raise)
+        for node in ast.walk(statement) if isinstance(node, (ast.Constant, ast.JoinedStr))
+        if template(node) in rules
+    }
+    assert found == {("invariants.kum_div0_m", text) for text in rules}
 
 
 def test_trial_division_has_only_bounded_callers():

@@ -1,22 +1,23 @@
 """Cokernel formulas, Heisenberg criteria, section counts, reports."""
 
 import math
+import re
 
 import pytest
 
 from hktheta import invariants
 from hktheta.arith import divisors
+from hktheta.cli import main
 from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
     MAX_H0_BITS,
     Family,
     LineBundleInvariants,
-    div0_kum,
     kum_class_invariants,
     kum_cokernel,
     kum_cokernel_from_class,
+    kum_div0_m,
     kum_is_heisenberg,
-    m_kum,
     og6_cokernel,
     og6_is_heisenberg,
     rank4_a,
@@ -49,7 +50,7 @@ def rank4_inv(e):
     [(2, 1, 1), (2, 2, 1), (2, 3, 3), (2, 6, 3), (3, 2, 2), (3, 8, 4), (5, 4, 2), (7, 4, 4)],
 )
 def test_div0_golden(n, div, expected):
-    assert div0_kum(n, div) == expected
+    assert kum_div0_m(n, div, 0)[0] == expected
 
 
 def _ord2_by_division(n):
@@ -65,16 +66,16 @@ def test_div0_matches_two_adic_rule():
     for n in range(2, 400):
         for div in divisors(2 * (n + 1)):
             two_adic = div if _ord2_by_division(n + 1) >= _ord2_by_division(div) else div // 2
-            assert div0_kum(n, div) == two_adic, (n, div)
+            assert kum_div0_m(n, div, 0)[0] == two_adic, (n, div)
 
 
 def test_div0_validation():
     with pytest.raises(ValueError):
-        div0_kum(2, 4)  # 4 does not divide 6
+        kum_div0_m(2, 4, 0)  # 4 does not divide 6
     with pytest.raises(ValueError):
-        div0_kum(1, 1)
+        kum_div0_m(1, 1, 0)
     with pytest.raises(ValueError):
-        div0_kum(2, 0)
+        kum_div0_m(2, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -82,14 +83,13 @@ def test_div0_validation():
     [(2, 6, 1, 3), (2, 8, 1, 1), (3, 8, 2, 2), (2, -6, 1, 3), (4, 20, 1, 5), (2, 0, 1, 3)],
 )
 def test_m_golden(n, q, div0, expected):
-    assert m_kum(n, q, div0) == expected
+    # div0 divides n+1, so div = div0 is a divisibility with gcd(n+1, div) = div0
+    assert kum_div0_m(n, div0, q) == (div0, expected)
 
 
 def test_m_validation():
     with pytest.raises(ValueError):
-        m_kum(2, 6, 2)  # 4 does not divide 6
-    with pytest.raises(ValueError):
-        m_kum(2, 6, 0)
+        kum_div0_m(3, 2, 6)  # 2*div0 = 4 does not divide 6
 
 
 def test_kum_cokernel_golden():
@@ -117,7 +117,7 @@ def test_kum_is_heisenberg_golden():
 def test_kum_criterion_iff_trivial_cokernel_small_grid():
     for n in (2, 3, 4, 5):
         for div in divisors(2 * (n + 1)):
-            d0 = div0_kum(n, div)
+            d0 = kum_div0_m(n, div, 0)[0]
             for q in range(-24, 26, 2):
                 if q % (2 * d0):
                     continue
@@ -128,15 +128,45 @@ def test_kum_cokernel_matches_enumeration():
     cache = {}
     for n in (2, 3, 4):
         for div in divisors(2 * (n + 1)):
-            d0 = div0_kum(n, div)
+            d0 = kum_div0_m(n, div, 0)[0]
             for q in range(-18, 20, 2):
                 if q % (2 * d0):
                     continue
-                m = m_kum(n, q, d0)
+                m = kum_div0_m(n, div, q)[1]
                 key = (n, d0, m)
                 if key not in cache:
                     cache[key] = brute_cokernel(standard_kum_pairing(n, d0, m))
                 assert kum_cokernel(n, div, q) == cache[key]
+
+
+@pytest.mark.parametrize(
+    "n, div, q, message",
+    [(1, 1, 2, "KUM requires n >= 2"),
+     (2, 4, 2, "divisibility 4 must divide 6"),
+     (3, 2, 2, "2*div0 = 4 must divide q = 2")],
+)
+def test_refused_kum_key_has_one_message_at_every_entry_point(capsys, n, div, q, message):
+    for route in (kum_inv, kum_div0_m, kum_cokernel, kum_is_heisenberg):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(n, div, q)
+    code = main(["kummer", "--n", str(n), "--div", str(div), "--q", str(q)])
+    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
+def test_every_kum_key_the_record_accepts_gets_a_report():
+    # sweep_kum_criterion's range: the record accepts exactly the sweep's 5,301
+    # keys, and a report refuses none of them
+    accepted = 0
+    for n in range(2, 13):
+        for div in divisors(2 * (n + 1)):
+            for q in range(-200, 201, 2):
+                try:
+                    inv = kum_inv(n, div, q)
+                except ValueError:
+                    continue
+                theta_report(inv)
+                accepted += 1
+    assert accepted == 5301
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +331,18 @@ def test_theta_report_heisenberg_kum():
 
 def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
     # the report's div0 and m, and its cokernel, come from one evaluation; the
-    # criterion, checked against the cokernel, evaluates div0 on its own
-    calls = {"div0_kum": 0, "m_kum": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(invariants, name)):
-            calls[name] += 1
-            return original(*args)
+    # criterion, checked against the cokernel, checks the key's rules on its own
+    calls = 0
 
-        monkeypatch.setattr(invariants, name, counted)
-    rep = theta_report(kum_inv(2, 3, 6))
-    assert calls["div0_kum"] <= 2 and calls["m_kum"] <= 1
+    def counted(*args, original=invariants.kum_div0_m):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    inv = kum_inv(2, 3, 6)
+    monkeypatch.setattr(invariants, "kum_div0_m", counted)
+    rep = theta_report(inv)
+    assert calls <= 2
     assert (rep.div0, rep.m, rep.cokernel.invariant_factors, rep.is_heisenberg) == (
         3, 1, (3, 3), False)
 
