@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from types import SimpleNamespace
 
@@ -41,6 +40,7 @@ from .heisenberg import h_commutator, heis_elem, schrodinger_matrix
 from .invariants import (
     Family,
     LineBundleInvariants,
+    _kum_class_b,
     kum_class_invariants,
     kum_cokernel_from_class,
     report_to_dict,
@@ -153,6 +153,7 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
             LineBundleInvariants(family=Family.KUM, div=args.div, q=args.q, n=args.n))
     if args.a1 is None or args.a2 is None or args.x is None:
         _parser().error("the class route needs --a1, --a2 and --x")
+    b1, b2 = _kum_class_b(args.n, args.a1, args.a2, args.x)
     # the one comparison of the class formula with the (div, q) route
     from_class = list(kum_cokernel_from_class(args.n, args.a1, args.a2, args.x).invariant_factors)
     base = report_to_dict(theta_report(kum_class_invariants(args.n, args.a1, args.a2, args.x)))
@@ -160,8 +161,7 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
         raise AssertionError(
             f"class route and (div, q) route disagree: {from_class} vs {base['cokernel']}")
     record = {"family": base["family"], "n": args.n, "a1": args.a1, "a2": args.a2,
-              "x": args.x, "b1": math.gcd(args.n + 1, args.a1),
-              "b2": math.gcd(args.n + 1, args.a2)}
+              "x": args.x, "b1": b1, "b2": b2}
     record.update((k, v) for k, v in base.items() if k not in ("family", "n"))
     return record, _report_lines(record)
 

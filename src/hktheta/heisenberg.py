@@ -283,7 +283,7 @@ def schrodinger_multiplicity(dim_v: int, d) -> int:
     """
     if dim_v < 0:
         raise ValueError("dimension must be nonnegative")
-    size = math.prod(int_tuple(d))
+    size = FinAbGroup(tuple(d)).order
     if dim_v % size:
         raise ValueError(f"dimension {dim_v} is not a multiple of {size}")
     return dim_v // size

@@ -6,15 +6,16 @@ family (group (Z/2)^8), and the RANK4 family of modular sheaves on
 Kummer-type fourfolds (Schrodinger type (3,3)).
 
 For KUM the commutator-pairing cokernel is (Z/div0)^2 + (Z/m)^2, where
-div0 = gcd(n+1, div) and m = gcd(n+1, q/(2*div0)).  kum_div0_m is the one
-home of this formula and of the (div, q) key's rules.  Its known limit: when
+div0 = gcd(n+1, div) and m = gcd(n+1, q/(2*div0)).  Its known limit: when
 div0 > 1 the cokernel also depends on the orbit +-x0 mod div of the class, so
 at n = 24 the key (div, q) = (5, 50) has the cokernels [5, 5, 5, 5] and
 [5, 5, 25, 25], and the closed form gives only the first.  For OG6 it is trivial,
 (Z/2)^4, or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial
 or (Z/3)^2 according to 3 | e.  Each family also carries a closed-form
 Heisenberg criterion; theta_report computes criterion and cokernel
-independently and insists they agree.
+independently and insists they agree.  Each key's rules have one home, which
+every entry point calls: kum_div0_m (KUM (div, q) and the formula above),
+_kum_class_b (KUM class), LineBundleInvariants (OG6; RANK4, rank4_a for e).
 """
 
 from __future__ import annotations
@@ -53,15 +54,11 @@ class Family(Enum):
 
 
 class LineBundleInvariants(Record):
-    """Numerical invariants (family, div, q, n?) of a primitive class."""
+    """Invariants (family, div, q, n?) of a primitive class; only the family's rules run."""
 
     __slots__ = ("family", "div", "q", "n")
 
     def __init__(self, family: Family, div: int, q: int, n: int | None = None):
-        if q % 2:
-            raise ValueError("the square q is always even; odd input rejected")
-        if div < 1:
-            raise ValueError("divisibility must be positive")
         if family is Family.KUM:
             kum_div0_m(n, div, q)
         elif family is Family.OG6:
@@ -69,14 +66,18 @@ class LineBundleInvariants(Record):
                 raise ValueError("OG6 takes no parameter n")
             if div not in (1, 2):
                 raise ValueError("OG6 divisibility must be 1 or 2")
+            if q % 2:
+                raise ValueError("the square q is always even; odd input rejected")
             if div == 2 and q % 8 not in (4, 6):
                 raise ValueError("OG6 divisibility 2 forces q = -2 or -4 mod 8")
-        else:
+        elif family is Family.RANK4:
             if n is not None:
                 raise ValueError("RANK4 takes no parameter n")
             if div != 2:
                 raise ValueError("RANK4 sheaves have divisibility 2")
             rank4_a(q)  # validates q > 0 and q = -6 mod 16
+        else:
+            raise ValueError("family must be a Family member: KUM, OG6 or RANK4")
         self._set(family, div, q, n)
 
 
@@ -106,13 +107,13 @@ def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
     return small_div and math.gcd(n + 1, q // 2) == 1
 
 
-def _check_kum_class(n: int, a1: int, a2: int, x: int) -> None:
-    if n < 2:
-        raise ValueError("need n >= 2")
+def _kum_class_b(n: int, a1: int, a2: int, x: int) -> tuple[int, int]:
+    kum_div0_m(n, 1, 0)  # the n rule; (div, q) = (1, 0) passes the others
     if a1 < 1 or a2 < 1 or a2 % a1:
         raise ValueError("need 1 <= a1 | a2")
     if math.gcd(a1, x) != 1:
         raise ValueError("primitivity requires gcd(a1, x) = 1")
+    return math.gcd(n + 1, a1), math.gcd(n + 1, a2)
 
 
 def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
@@ -121,7 +122,7 @@ def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvarian
     Primitivity gcd(a1, x) = 1 pins div = gcd(2(n+1), a1); the square entering
     the cokernel formula is 2*a1*a2.
     """
-    _check_kum_class(n, a1, a2, x)
+    _kum_class_b(n, a1, a2, x)
     return LineBundleInvariants(
         family=Family.KUM, div=math.gcd(2 * (n + 1), a1), q=2 * a1 * a2, n=n
     )
@@ -130,8 +131,7 @@ def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvarian
 def kum_cokernel_from_class(n: int, a1: int, a2: int, x: int) -> AbGroupStructure:
     """(Z/b1)^2 + (Z/b2)^2 with b_i = gcd(n+1, a_i), the class formula alone;
     the CLI and the three-way sweep compare it with the (div, q) route."""
-    _check_kum_class(n, a1, a2, x)
-    b1, b2 = math.gcd(n + 1, a1), math.gcd(n + 1, a2)
+    b1, b2 = _kum_class_b(n, a1, a2, x)
     return AbGroupStructure.from_cyclic_orders((b1, b1, b2, b2))
 
 

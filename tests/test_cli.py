@@ -1488,10 +1488,23 @@ def test_source_has_no_assert_statements():
 
 
 def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
-    # the (div, q) key's three rules have one home; an orbit x0 or a
-    # realisability rule belongs there too, not in the callers
-    rules = {"KUM requires n >= 2", "divisibility {} must divide {}",
-             "2*div0 = {} must divide q = {}"}
+    # every rule of the four theta keys has one home, which raises it and
+    # nothing else does: kum_div0_m for the Kummer (div, q) key, the record for
+    # OG6 and RANK4's n and div, rank4_a for RANK4's e, _kum_class_b for the
+    # Kummer class key; an orbit x0 or a realisability rule joins its key's home
+    homes = {
+        "invariants.kum_div0_m": {"KUM requires n >= 2", "divisibility {} must divide {}",
+                                  "2*div0 = {} must divide q = {}"},
+        "invariants.LineBundleInvariants.__init__": {
+            "OG6 takes no parameter n", "OG6 divisibility must be 1 or 2",
+            "the square q is always even; odd input rejected",
+            "OG6 divisibility 2 forces q = -2 or -4 mod 8", "RANK4 takes no parameter n",
+            "RANK4 sheaves have divisibility 2",
+            "family must be a Family member: KUM, OG6 or RANK4"},
+        "invariants.rank4_a": {"need e > 0 with e = -6 mod 16, got {}"},
+        "invariants._kum_class_b": {"need 1 <= a1 | a2", "primitivity requires gcd(a1, x) = 1"},
+    }
+    rules = set().union(*homes.values())
 
     def template(node):
         if isinstance(node, ast.Constant):
@@ -1500,16 +1513,21 @@ def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
                        for part in node.values)
 
     src = Path(hktheta.__file__).resolve().parent
-    found = {
-        (f"{path.stem}.{function.name}", template(node))
-        for path in sorted(src.glob("*.py"))
-        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef)
-        for statement in ast.walk(function) if isinstance(statement, ast.Raise)
-        for node in ast.walk(statement) if isinstance(node, (ast.Constant, ast.JoinedStr))
-        if template(node) in rules
-    }
-    assert found == {("invariants.kum_div0_m", text) for text in rules}
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            # a method is named with its class
+            for scope in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(scope, "name", "<module>")
+                if scope is not top:
+                    name = f"{top.name}.{name}"
+                found |= {
+                    (f"{path.stem}.{name}", template(node))
+                    for statement in ast.walk(scope) if isinstance(statement, ast.Raise)
+                    for node in ast.walk(statement)
+                    if isinstance(node, (ast.Constant, ast.JoinedStr)) and template(node) in rules
+                }
+    assert found == {(home, text) for home, texts in homes.items() for text in texts}
 
 
 def test_trial_division_has_only_bounded_callers():

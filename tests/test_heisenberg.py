@@ -361,6 +361,19 @@ def test_schrodinger_multiplicity():
 
 
 @pytest.mark.parametrize(
+    "d, message",
+    [((0,), "cyclic factor orders must be >= 2"),
+     ((-2,), "cyclic factor orders must be >= 2"),
+     ((), "at least one cyclic factor required")],
+)
+def test_schrodinger_multiplicity_refuses_a_type_that_is_no_group(d, message):
+    # d must be a group's type; a bare product of d would divide by 0 at (0,)
+    # and count -2 or 4 copies at (-2,) or ()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        schrodinger_multiplicity(4, d)
+
+
+@pytest.mark.parametrize(
     "build",
     [lambda: heis_pairing((2.5,)), lambda: schrodinger_multiplicity(4, (2.9,))],
     ids=["heis_pairing", "schrodinger_multiplicity"],

@@ -139,18 +139,53 @@ def test_kum_cokernel_matches_enumeration():
                 assert kum_cokernel(n, div, q) == cache[key]
 
 
+# key tag -> the CLI words before the key's values, and the library entry points:
+# the record, the rule home, the closed form and the criterion
+_KEY_ENTRY_POINTS = {
+    "kum": (["kummer", "--n", "--div", "--q"],
+            [kum_inv, kum_div0_m, kum_cokernel, kum_is_heisenberg]),
+    "class": (["kummer", "--n", "--a1", "--a2", "--x"],
+              [kum_class_invariants, invariants._kum_class_b, kum_cokernel_from_class]),
+    "og6": (["og6", "--div", "--q"], [og6_inv, og6_cokernel, og6_is_heisenberg]),
+    "rank4": (["rank4", "--e"], [rank4_inv, rank4_a, rank4_cokernel, rank4_is_heisenberg]),
+}
+
+
 @pytest.mark.parametrize(
-    "n, div, q, message",
-    [(1, 1, 2, "KUM requires n >= 2"),
-     (2, 4, 2, "divisibility 4 must divide 6"),
-     (3, 2, 2, "2*div0 = 4 must divide q = 2")],
+    "key, message",
+    [((1, 1, 2), "KUM requires n >= 2"),
+     ((2, 4, 2), "divisibility 4 must divide 6"),
+     ((3, 2, 2), "2*div0 = 4 must divide q = 2"),
+     ((2, 0, 2), "divisibility 0 must divide 6"),
+     ((2, 1, 3), "2*div0 = 2 must divide q = 3"),
+     ((1, 0, 3), "KUM requires n >= 2"),
+     (("class", 1, 1, 1, 0), "KUM requires n >= 2"),
+     (("class", 2, 2, 3, 1), "need 1 <= a1 | a2"),
+     (("class", 2, 2, 4, 0), "primitivity requires gcd(a1, x) = 1"),
+     (("og6", 0, 2), "OG6 divisibility must be 1 or 2"),
+     (("og6", 1, 3), "the square q is always even; odd input rejected"),
+     (("og6", 2, 8), "OG6 divisibility 2 forces q = -2 or -4 mod 8"),
+     (("rank4", 27), "need e > 0 with e = -6 mod 16, got 27"),
+     (("rank4", -6), "need e > 0 with e = -6 mod 16, got -6")],
+    ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
 )
-def test_refused_kum_key_has_one_message_at_every_entry_point(capsys, n, div, q, message):
-    for route in (kum_inv, kum_div0_m, kum_cokernel, kum_is_heisenberg):
+def test_refused_kum_key_has_one_message_at_every_entry_point(capsys, key, message):
+    # a (n, div, q) key is KUM's and any other is tagged; every library entry
+    # point of the key and the CLI give its rule home's one line
+    tag, *values = key if isinstance(key[0], str) else ("kum", *key)
+    (command, *options), routes = _KEY_ENTRY_POINTS[tag]
+    for route in routes:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            route(n, div, q)
-    code = main(["kummer", "--n", str(n), "--div", str(div), "--q", str(q)])
-    assert (code, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+            route(*values)
+    argv = [command, *(word for pair in zip(options, map(str, values)) for word in pair)]
+    assert (main(argv), *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family", ["kum", "rank4", None])
+def test_a_family_outside_family_is_refused(family):
+    # only Family members name a family: not its values, and not None
+    with pytest.raises(ValueError, match="^family must be a Family member: KUM, OG6 or RANK4$"):
+        LineBundleInvariants(family, 2, 10)
 
 
 def test_every_kum_key_the_record_accepts_gets_a_report():
