@@ -16,13 +16,25 @@ class Record:
     """Immutable value type in place of a frozen dataclass: a subclass lists its
     fields in __slots__ and sets them in its own __init__ (object.__setattr__ or
     _set).  Equality, hash, repr and _asdict read _fields (by default every slot);
-    records of different classes are never equal; assignment and del raise."""
+    records of different classes are never equal; assignment and del raise.
+
+    `_make(*values)` builds a record without its __init__, for values the package
+    computed itself from parts that were validated already; it never takes input
+    (argv, documents, a caller's arguments), which goes through __init__."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
         cls._key = staticmethod(operator.attrgetter(*cls._fields))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _make(cls, *values):
+        self = object.__new__(cls)
+        for setter, value in zip(cls._setters, values):
+            setter(self, value)
+        return self
 
     def __eq__(self, other):
         if self is other:
@@ -46,8 +58,8 @@ class Record:
 
     def _set(self, *values):
         """Set the fields to the values, in __slots__ order."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setstate__(self, state):
         # pickle and copy hand the slots over as (None, {name: value})

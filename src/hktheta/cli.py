@@ -11,11 +11,15 @@ with a dash) is read straight off it, and argparse is never imported.  Any
 other argv goes to the full argparse parser, built from the same table at most
 once per process, which gives every usage error and help text.
 
-Every subcommand accepts --json for machine-readable output (absent optional
-fields are omitted, never null).  Exit codes: 0 success, 1 domain error (one
-line on stderr, cut as a long usage message is), 2 usage error, 3 internal
-check failure (an `AssertionError` from a cross-check, reported as the single
-line `internal check failed: <msg>` on stderr).
+A handler returns its record, plus its own text lines only where they differ
+from the record's `key: value` lines (pairing, heisenberg, schrodinger, lattice
+div|q|class, sweep), else None.  Only the output asked for is rendered, and it
+is written in one print: under --json, which every subcommand accepts, the
+record as one JSON line (absent optional fields are omitted, never null), else
+the text lines.  Exit codes: 0 success, 1 domain error (one line on stderr, cut
+as a long usage message is), 2 usage error, 3 internal check failure (an
+`AssertionError` from a cross-check, reported as the single line
+`internal check failed: <msg>` on stderr).
 """
 
 from __future__ import annotations
@@ -100,8 +104,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"bad {what} {_quoted(text)}: expected comma-separated integers") from exc
 
 
-def _parse_heis_elem(d_text: str, elem_text: str):
-    d = _parse_ints(d_text, "type d")
+def _parse_heis_elem(d: tuple[int, ...], elem_text: str):
     parts = elem_text.split(";")
     if len(parts) != 3:
         raise ValueError(f"bad element {_quoted(elem_text)}: expected 't;(x1,..);(f1,..)'")
@@ -136,12 +139,11 @@ def _report_lines(record: dict) -> list[str]:
     return lines
 
 
-def _theta_record(inv: LineBundleInvariants) -> tuple[dict, list[str]]:
-    record = report_to_dict(theta_report(inv))
-    return record, _report_lines(record)
+def _theta_record(inv: LineBundleInvariants) -> tuple[dict, None]:
+    return report_to_dict(theta_report(inv)), None
 
 
-def _cmd_kummer(args) -> tuple[dict, list[str]]:
+def _cmd_kummer(args) -> tuple[dict, None]:
     q_route = args.div is not None or args.q is not None
     class_route = args.a1 is not None or args.a2 is not None or args.x is not None
     if q_route == class_route:
@@ -163,26 +165,23 @@ def _cmd_kummer(args) -> tuple[dict, list[str]]:
     record = {"family": base["family"], "n": args.n, "a1": args.a1, "a2": args.a2,
               "x": args.x, "b1": b1, "b2": b2}
     record.update((k, v) for k, v in base.items() if k not in ("family", "n"))
-    return record, _report_lines(record)
+    return record, None
 
 
-def _cmd_og6(args) -> tuple[dict, list[str]]:
+def _cmd_og6(args) -> tuple[dict, None]:
     return _theta_record(LineBundleInvariants(family=Family.OG6, div=args.div, q=args.q))
 
 
-def _cmd_rank4(args) -> tuple[dict, list[str]]:
+def _cmd_rank4(args) -> tuple[dict, None]:
     return _theta_record(LineBundleInvariants(family=Family.RANK4, div=2, q=args.e))
 
 
-def _cmd_lattice(args) -> tuple[dict, list[str]]:
+def _cmd_lattice(args) -> tuple[dict, list[str] | None]:
     lat, n = _parse_lattice(args.lattice)
     vec = _parse_ints(args.vector, "vector")
-    if args.question == "div":
-        value = divisibility(lat, vec)
-        return {"div": value}, [str(value)]
-    if args.question == "q":
-        value = bbf_square(lat, vec)
-        return {"q": value}, [str(value)]
+    if args.question in ("div", "q"):
+        value = (divisibility if args.question == "div" else bbf_square)(lat, vec)
+        return {args.question: value}, [str(value)]
     if args.question == "class":
         if lat.name != "og6":
             raise ValueError("orbit classes are defined on the og6 lattice")
@@ -191,8 +190,7 @@ def _cmd_lattice(args) -> tuple[dict, list[str]]:
     if n is None:
         raise ValueError("orbit splitting is defined on kum:<n> lattices")
     split = kum_orbit_split(n, vec)
-    record = {k: list(v) if isinstance(v, tuple) else v for k, v in split._asdict().items()}
-    return record, _report_lines(record)
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in split._asdict().items()}, None
 
 
 def _load_pairing(path: str):
@@ -228,19 +226,18 @@ def _cmd_pairing(args) -> tuple[dict, list[str]]:
 
 
 def _cmd_heisenberg(args) -> tuple[dict, list[str]]:
-    a = _parse_heis_elem(args.d, args.a)
-    b = _parse_heis_elem(args.d, args.b)
-    value = h_commutator(a, b)
+    d = _parse_ints(args.d, "type d")
+    value = h_commutator(_parse_heis_elem(d, args.a), _parse_heis_elem(d, args.b))
     return {"commutator": str(value)}, [str(value)]
 
 
-def _cmd_schrodinger(args) -> tuple[dict, list[str]]:
-    mat = schrodinger_matrix(_parse_heis_elem(args.d, args.elem))
+def _cmd_schrodinger(args) -> tuple[dict, list[str] | None]:
+    mat = schrodinger_matrix(_parse_heis_elem(_parse_ints(args.d, "type d"), args.elem))
     labels = {p: "%d/%d" % _reduced(p, mat.modulus) for p in set(mat.phases)}
     record = {"dim": mat.dim, "perm": list(mat.perm), "phases": list(map(labels.get, mat.phases))}
-    lines = [f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
-             "phases: " + " ".join(record["phases"])]
-    return record, lines
+    return record, None if args.json else [
+        f"dim: {mat.dim}", "perm: " + " ".join(map(str, mat.perm)),
+        "phases: " + " ".join(record["phases"])]
 
 
 def _cmd_sweep(args) -> tuple[list, list[str]]:
@@ -260,10 +257,7 @@ def _cmd_sweep(args) -> tuple[list, list[str]]:
 
 
 class _SweepFailure(Exception):
-    def __init__(self, record, lines):
-        super().__init__("property sweeps reported failures")
-        self.record = record
-        self.lines = lines
+    """Failed sweeps; its args are the battery's record and lines, emitted with exit 1."""
 
 
 _JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
@@ -379,10 +373,11 @@ def _parse(argv: list[str]):
 
 def _emit(args, record, lines):
     if args.json:
-        print(json.dumps(record))
-    else:
-        for line in lines:
-            print(line)
+        lines = [json.dumps(record)]
+    elif lines is None:
+        lines = _report_lines(record)
+    if lines:  # one print for the whole output, and none for no lines
+        print("\n".join(lines))
 
 
 def main(argv=None) -> int:
@@ -393,7 +388,7 @@ def main(argv=None) -> int:
     try:
         record, lines = args.handler(args)
     except _SweepFailure as exc:
-        _emit(args, exc.record, exc.lines)
+        _emit(args, *exc.args)
         return 1
     except ValueError as exc:
         print(f"error: {_cut(str(exc))}", file=sys.stderr)

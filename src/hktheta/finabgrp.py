@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import product
 
 from .arith import Record, divisor_chain, factorint, int_tuple
-from .snf import smith_normal_form
+from .snf import _smith
 
 __all__ = [
     "QmodZ",
@@ -329,7 +329,7 @@ def pairing_cokernel(pairing: Pairing) -> AbGroupStructure:
     live = [row for row in pairing._units if any(row)]  # row j of units: column j of E
     aug = [[row[i] * oi // n for row in live]
            + [oi if k == i else 0 for k, ok in enumerate(o) if ok != n] for i, oi in enumerate(o)]
-    return AbGroupStructure(tuple(d for d in smith_normal_form(aug, n) if d > 1))
+    return AbGroupStructure(tuple(d for d in _smith(aug, n) if d > 1))
 
 
 def pairing_radical(pairing: Pairing) -> AbGroupStructure:

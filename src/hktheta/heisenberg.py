@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add, neg
 
 from .arith import Record, divisors, int_tuple
 from .finabgrp import FinAbGroup, GroupElement, Pairing, QmodZ
@@ -58,9 +57,7 @@ class HeisElem(Record):
     def __init__(self, scalar: QmodZ, x: GroupElement, f: GroupElement):
         if x.group != f.group:
             raise ValueError("translation and character parts must share the type d")
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "f", f)
+        self._set(scalar, x, f)
 
 
 def _char_units(f, x, orders, n: int) -> int:
@@ -81,16 +78,19 @@ def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     m = math.lcm(*j.orders, t.den, s.den)
     phase = t.num * (m // t.den) + s.num * (m // s.den)
     phase += _char_units(b.f.coords, a.x.coords, j.orders, m)
-    return HeisElem(QmodZ(phase, m), GroupElement(j, tuple(map(add, a.x.coords, b.x.coords))),
-                    GroupElement(j, tuple(map(add, a.f.coords, b.f.coords))))
+    # sums of validated coordinates, reduced mod the orders, need no second check
+    x = tuple([(u + v) % o for u, v, o in zip(a.x.coords, b.x.coords, j.orders)])
+    f = tuple([(u + v) % o for u, v, o in zip(a.f.coords, b.f.coords, j.orders)])
+    return HeisElem._make(QmodZ(phase, m), GroupElement._make(j, x), GroupElement._make(j, f))
 
 
 def h_inv(a: HeisElem) -> HeisElem:
     j, t = a.x.group, a.scalar
     m = math.lcm(*j.orders, t.den)
     phase = _char_units(a.f.coords, a.x.coords, j.orders, m) - t.num * (m // t.den)
-    return HeisElem(QmodZ(phase, m), GroupElement(j, tuple(map(neg, a.x.coords))),
-                    GroupElement(j, tuple(map(neg, a.f.coords))))
+    x = tuple([-u % o for u, o in zip(a.x.coords, j.orders)])
+    f = tuple([-u % o for u, o in zip(a.f.coords, j.orders)])
+    return HeisElem._make(QmodZ(phase, m), GroupElement._make(j, x), GroupElement._make(j, f))
 
 
 def h_commutator(a: HeisElem, b: HeisElem) -> QmodZ:

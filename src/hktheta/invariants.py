@@ -25,7 +25,6 @@ from enum import Enum
 
 from .arith import Record
 from .finabgrp import AbGroupStructure
-from .heisenberg import schrodinger_multiplicity
 
 __all__ = [
     "Family",
@@ -222,30 +221,24 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
         div0, m = kum_div0_m(inv.n, inv.div, inv.q)
         cokernel = AbGroupStructure.from_cyclic_orders((div0, div0, m, m))
         criterion = kum_is_heisenberg(inv.n, inv.div, inv.q)
-        rep_type = (inv.n + 1, inv.n + 1)
+        rep_size = (inv.n + 1) ** 2
     elif inv.family is Family.OG6:
         cokernel = og6_cokernel(inv.div, inv.q)
         criterion = og6_is_heisenberg(inv.div, inv.q)
-        rep_type = (2, 2, 2, 2)
+        rep_size = 16
     else:
         cokernel = rank4_cokernel(inv.q)
         criterion = rank4_is_heisenberg(inv.q)
-        rep_type = (3, 3)
+        rep_size = 9
     if criterion != cokernel.is_trivial():
         raise AssertionError("Heisenberg criterion and cokernel triviality disagree")
     h0 = riemann_roch(inv) if inv.q > 0 else None
     multiplicity = None
-    if criterion and h0 is not None:
-        multiplicity = schrodinger_multiplicity(h0, rep_type)
-    return ThetaReport(
-        invariants=inv,
-        div0=div0,
-        m=m,
-        cokernel=cokernel,
-        is_heisenberg=criterion,
-        h0=h0,
-        schrodinger_multiplicity=multiplicity,
-    )
+    if criterion and h0 is not None:  # the Schrodinger dimension: type (n+1)^2, 2^4, 3^2
+        multiplicity, rest = divmod(h0, rep_size)
+        if rest:
+            raise AssertionError(f"h0 is not a multiple of the Schrodinger dimension {rep_size}")
+    return ThetaReport._make(inv, div0, m, cokernel, criterion, h0, multiplicity)
 
 
 def report_to_dict(report: ThetaReport) -> dict:

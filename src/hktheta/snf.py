@@ -6,6 +6,9 @@ whatever the matrix size.  This is exact: the lattice of the columns plus
 M * Z^r contains M * Z^r, and unimodular row operations keep it there, so adding
 a multiple of M to any entry changes neither the lattice nor its quotient.  The
 column stage changes only the pivot row; `arith.divisor_chain` orders the diagonal.
+`smith_normal_form` and `integer_det` validate their input and copy it; the
+Smith form's core, `_smith`, works in place on rows the package built itself
+(`finabgrp.pairing_cokernel`): fresh lists of ints in [0, M), all of one length.
 """
 
 from __future__ import annotations
@@ -65,7 +68,11 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
     the number of rows; every d_i divides modulus.  Row steps clear a pivot's
     column, then column steps its row; arith.divisor_chain chains the diagonal.
     """
-    a = _as_int_rows(mat, modulus)
+    return _smith(_as_int_rows(mat, modulus), modulus)
+
+
+def _smith(a: list[list[int]], modulus: int) -> list[int]:
+    # smith_normal_form of rows it may change: lists of ints in [0, modulus), one length
     rows = len(a)
     cols = len(a[0]) if rows else 0
     diag = [modulus] * rows  # a row left without a pivot adds Z/modulus

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -176,6 +177,26 @@ def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
         env=_child_env(),
     )
     err = "internal check failed: class route and (div, q) route disagree: [3, 3] vs [7, 7]\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_a_failed_multiplicity_check_is_an_internal_error(flags):
+    # og6 --div 1 --q 2 is Heisenberg with h0 = 16; an h0 that is no multiple of
+    # the Schrodinger dimension is the package's fault, not bad input: exit 3
+    planted = (
+        "import sys\n"
+        "import hktheta.cli as cli\n"
+        "import hktheta.invariants as invariants\n"
+        "riemann_roch = invariants.riemann_roch\n"
+        "invariants.riemann_roch = lambda inv: riemann_roch(inv) + 1\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", planted, "og6", "--div", "1", "--q", "2"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    err = "internal check failed: h0 is not a multiple of the Schrodinger dimension 16\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
@@ -1116,6 +1137,45 @@ def test_dispatch_returns_the_full_parse_namespace(capsys):
     assert compared > 12
 
 
+def test_text_and_json_output_cannot_drift_apart(both_routes, monkeypatch):
+    # a handler that returns no lines of its own has its text rendered from its
+    # record, so the text of every record-shaped answer is the `key: value` form
+    # of its --json record; every text answer is one print, with no blank line
+    # (both_routes supplies pairing.json and stand-in sweeps)
+    prints = []
+    monkeypatch.setattr(cli, "print", lambda *a, **k: prints.append(a) or print(*a, **k),
+                        raising=False)
+    compared = 0
+    for argv in [argv[1:] for argv, _ in readme_tour()] + _ROUTE_CORPUS:
+        words = [w for w in argv if w != "--json"]
+        try:
+            args = cli._parse(words)
+        except SystemExit:  # a usage error or a help text, argparse's own
+            continue
+        prints.clear()
+        code, out, err = _answer(words)
+        if code != 0 or args.json:  # refused, or an abbreviated --json
+            continue
+        assert out and not err and len(prints) == 1, argv
+        assert "\n\n" not in out and not out.startswith("\n"), argv
+        if args.handler(args)[1] is None:
+            json_code, json_out, _ = _answer(words + ["--json"])
+            assert json_code == 0, argv
+            assert out.splitlines() == cli._report_lines(json.loads(json_out)), argv
+            compared += 1
+    assert compared >= 10
+
+
+def test_emit_prints_nothing_for_no_lines(capsys):
+    text = SimpleNamespace(json=False)
+    cli._emit(text, {}, None)
+    cli._emit(text, {"cokernel": []}, [])
+    assert capsys.readouterr().out == ""
+    cli._emit(text, {"cokernel": [], "is_heisenberg": True}, None)
+    cli._emit(SimpleNamespace(json=True), {"cokernel": []}, ["not read"])
+    assert capsys.readouterr().out == 'cokernel: []\nis_heisenberg: true\n{"cokernel": []}\n'
+
+
 _route_words = st.sampled_from([
     "kummer", "og6", "rank4", "lattice", "pairing", "heisenberg", "schrodinger", "sweep",
     "div", "q", "class", "orbit", "cokernel", "radical", "nondeg", "commutator", "matrix",
@@ -1485,6 +1545,23 @@ def test_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in src/hktheta: {', '.join(found)}"
+
+
+def test_the_cli_builds_no_trusted_values():
+    # Record._make and snf._smith skip validation, for values the package
+    # computed itself: whatever the CLI reads from argv or a document must pass a
+    # validating constructor, so cli.py names neither
+    trusted = {"_make", "_smith"}
+
+    def names(path):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        return ({getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+                | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                   for alias in node.names})
+
+    src = Path(hktheta.__file__).resolve().parent
+    assert not trusted & names(src / "cli.py")
+    assert trusted <= names(src / "heisenberg.py") | names(src / "finabgrp.py")  # the scan sees them
 
 
 def test_kummer_key_rules_are_raised_in_kum_div0_m_only():

@@ -315,6 +315,20 @@ def test_accepted_document_reaches_the_smith_form_without_reducing_a_fraction(
     assert pairing_cokernel(p) == AbGroupStructure((3, 120)) and reduced == []
 
 
+@pytest.mark.parametrize("doc, factors", [
+    (None, (3, 120)),  # the wide document: relation columns for the orders below 120
+    ({"orders": [6, 6], "matrix": [["0/1", "1/6"], ["5/6", "0/1"]]}, ()),  # none
+    ({"orders": [4, 2], "matrix": [["0/1", "0/1"], ["0/1", "0/1"]]}, (2, 4)),  # no live column
+])
+def test_pairing_cokernel_leaves_the_pairing_as_it_was(wide_pairing_doc, doc, factors):
+    # the Smith core works in place on the rows pairing_cokernel builds, never on
+    # the pairing's own units
+    p = pairing_from_dict(wide_pairing_doc if doc is None else doc)
+    units, twin = p._units, pairing_from_dict(wide_pairing_doc if doc is None else doc)
+    assert pairing_cokernel(p) == pairing_cokernel(p) == AbGroupStructure(factors)
+    assert p._units is units and p == twin and p._entries == twin._entries
+
+
 def test_skew_with_order_two_entries():
     # on (Z/2)^2 a value of 1/2 is its own negative, so this is legal
     p = symplectic_pairing(2, 1)

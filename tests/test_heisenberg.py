@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hktheta.arith import Record
 from hktheta.finabgrp import (
     FinAbGroup,
     GroupElement,
@@ -91,6 +94,39 @@ def test_heis_elem_type_mismatch():
         HeisElem(QmodZ(0), FinAbGroup((2,)).zero(), FinAbGroup((3,)).zero())
     with pytest.raises(ValueError):
         h_mul(h_identity((2,)), h_identity((3,)))
+
+
+@st.composite
+def _typed_pair(draw):
+    """A type d (rank 1-3, orders 2-9) and two elements of its Heisenberg group,
+    given by unreduced coordinates and a scalar of any denominator."""
+    d = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+    coords = st.lists(st.integers(-40, 40), min_size=len(d), max_size=len(d))
+
+    def elem():
+        scalar = QmodZ(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+        return heis_elem(d, scalar, draw(coords), draw(coords))
+
+    return d, elem(), elem()
+
+
+@given(_typed_pair())
+def test_trusted_products_equal_validated_builds(pair):
+    # h_mul and h_inv build their group elements without a second check; each
+    # result must equal, and hash as, the element built through the validating
+    # constructors from the group law on unreduced coordinates
+    d, a, b = pair
+    j = FinAbGroup(d)
+    xs, ys, fs, gs = a.x.coords, b.x.coords, a.f.coords, b.f.coords
+    product = HeisElem(qmodz_sum(a.scalar, b.scalar, character_eval(b.f, a.x)),
+                       j.element([x + y for x, y in zip(xs, ys)]),
+                       j.element([f + g for f, g in zip(fs, gs)]))
+    inverse = HeisElem(qmodz_sum(-a.scalar, character_eval(a.f, a.x)),
+                       j.element([-x for x in xs]), j.element([-f for f in fs]))
+    for got, want in ((h_mul(a, b), product), (h_inv(a), inverse)):
+        assert got == want and hash(got) == hash(want)
+        assert got.x.group == got.f.group == j
+        assert all(0 <= c < di for c, di in zip(got.x.coords + got.f.coords, d + d))
 
 
 @pytest.mark.parametrize("d", TYPES, ids=str)
@@ -483,19 +519,31 @@ def test_routes_with_different_moduli_agree():
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts QmodZ, GroupElement and Fraction constructions while active."""
-    counts = {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+    """Counts QmodZ, GroupElement and Fraction constructions while active, each
+    built through its validating __post_init__ or through Record._make, which
+    trusts what the package computed; "checked GroupElement" counts the
+    validating GroupElement.__post_init__ calls alone."""
+    counts = {"QmodZ": 0, "GroupElement": 0, "Fraction": 0, "checked GroupElement": 0}
 
-    def counting(cls, name, method):
+    def counting(cls, names, method):
         def wrapped(*args, **kwargs):
-            counts[name] += 1
+            for name in names:
+                counts[name] += 1
             return method(*args, **kwargs)
 
         monkeypatch.setattr(cls, method.__name__, wrapped)
 
-    counting(QmodZ, "QmodZ", QmodZ.__post_init__)
-    counting(GroupElement, "GroupElement", GroupElement.__post_init__)
-    counting(Fraction, "Fraction", Fraction.__new__)
+    counting(QmodZ, ["QmodZ"], QmodZ.__post_init__)
+    counting(GroupElement, ["GroupElement", "checked GroupElement"], GroupElement.__post_init__)
+    counting(Fraction, ["Fraction"], Fraction.__new__)
+    make = Record._make.__func__
+
+    def counted_make(cls, *values):
+        if cls.__name__ in counts:
+            counts[cls.__name__] += 1
+        return make(cls, *values)
+
+    monkeypatch.setattr(Record, "_make", classmethod(counted_make))
     return counts
 
 
@@ -505,23 +553,29 @@ def _churn(counts, fn, *args):
     return {k: counts[k] - before[k] for k in counts}
 
 
+def _built(qmodz, elements, checked=0):
+    return {"QmodZ": qmodz, "GroupElement": elements, "Fraction": 0,
+            "checked GroupElement": checked}
+
+
 def test_no_per_entry_objects_in_matrix_routes(constructions):
     small = heis_elem((2,), QmodZ(1, 2), (1,), (1,))
     large = heis_elem((8, 8), QmodZ(3, 8), (3, 5), (6, 1))
     at_2 = _churn(constructions, schrodinger_matrix, small)
     at_64 = _churn(constructions, schrodinger_matrix, large)
-    assert at_64 == at_2 == {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+    assert at_64 == at_2 == _built(0, 0)
     m2, m64 = schrodinger_matrix(small), schrodinger_matrix(large)
     assert _churn(constructions, gpm_mul, m64, gpm_inv(m64)) == _churn(
         constructions, gpm_mul, m2, gpm_inv(m2)
-    ) == {"QmodZ": 0, "GroupElement": 0, "Fraction": 0}
+    ) == _built(0, 0)
     # each product or inverse builds one scalar and two group elements, whatever
-    # the type; the commutator (ab)(ba)^-1 is three products and one inverse
+    # the type, and checks none of the elements again (their coordinates are sums
+    # or negatives of checked ones); the commutator (ab)(ba)^-1 is three products
+    # and one inverse
     big_a = heis_elem((8, 8, 8), QmodZ(1, 9), (1, 2, 3), (4, 5, 6))
     big_b = heis_elem((8, 8, 8), QmodZ(2, 7), (7, 0, 1), (2, 2, 2))
-    assert _churn(constructions, h_mul, big_a, big_b) == {
-        "QmodZ": 1, "GroupElement": 2, "Fraction": 0
-    }
-    assert _churn(constructions, h_commutator, big_a, big_b) == {
-        "QmodZ": 4, "GroupElement": 8, "Fraction": 0
-    }
+    assert _churn(constructions, h_mul, big_a, big_b) == _built(1, 2)
+    assert _churn(constructions, h_inv, big_a) == _built(1, 2)
+    assert _churn(constructions, h_commutator, big_a, big_b) == _built(4, 8)
+    # the validating constructors still count as before
+    assert _churn(constructions, heis_elem, (8, 8), QmodZ(1, 3), (1, 2), (3, 4)) == _built(0, 2, 2)

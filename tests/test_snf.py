@@ -1,6 +1,7 @@
 """Integer matrix routines: determinants and Smith form."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hktheta.snf import integer_det, smith_normal_form
+from hktheta.snf import _smith, integer_det, smith_normal_form
 
 
 def fraction_det(mat):
@@ -115,3 +116,24 @@ def test_non_integer_entries_are_refused_not_truncated(call):
     with pytest.raises(ValueError, match="expected an integer") as info:
         call()
     assert "\n" not in str(info.value)
+
+
+def test_smith_core_on_fresh_reduced_rows_matches_the_public_entry():
+    # pairing_cokernel hands _smith rows it built itself; on such rows the core
+    # must answer as smith_normal_form, which validates and copies first
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        rows, cols, modulus = rng.randint(0, 5), rng.randint(0, 6), rng.randint(1, 72)
+        mat = [[rng.randint(-150, 150) for _ in range(cols)] for _ in range(rows)]
+        fresh = [[x % modulus for x in row] for row in mat]
+        assert _smith(fresh, modulus) == smith_normal_form(mat, modulus), (mat, modulus)
+
+
+@pytest.mark.parametrize("mat, message", [
+    ([[2.9]], "expected an integer, got 2.9"),
+    ([[1, 2], [3]], "ragged matrix"),
+])
+def test_the_public_smith_form_still_validates(mat, message):
+    with pytest.raises(ValueError) as info:
+        smith_normal_form(mat, 6)
+    assert str(info.value) == message
