@@ -443,6 +443,7 @@ def standard_kum_pairing(n: int, b1: int, b2: int) -> Pairing:
     e(a_i, b_i) = b_i/(n+1) for the two hyperbolic pairs, zero across pairs.
     Both multipliers must divide n+1.
     """
+    n, b1, b2 = int_tuple((n, b1, b2))
     if n < 2:
         raise ValueError("Kummer-type parameter n must be >= 2")
     for b in (b1, b2):

@@ -1,4 +1,4 @@
-"""Cokernel formulas, Heisenberg criteria, and section counts for line bundles.
+"""Cokernel formulas, Heisenberg verdicts, and section counts for line bundles.
 
 Three families are covered, keyed by the translation group of the underlying
 manifold: the generalized-Kummer family KUM (group (Z/(n+1))^4), the OG6
@@ -11,11 +11,12 @@ div0 > 1 the cokernel also depends on the orbit +-x0 mod div of the class, so
 at n = 24 the key (div, q) = (5, 50) has the cokernels [5, 5, 5, 5] and
 [5, 5, 25, 25], and the closed form gives only the first.  For OG6 it is trivial,
 (Z/2)^4, or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial
-or (Z/3)^2 according to 3 | e.  Each family also carries a closed-form
-Heisenberg criterion; theta_report computes criterion and cokernel
-independently and insists they agree.  Each key's rules have one home, which
-every entry point calls: kum_div0_m (KUM (div, q) and the formula above),
-_kum_class_b (KUM class), LineBundleInvariants (OG6; RANK4, rank4_a for e).
+or (Z/3)^2 according to 3 | e.  The theta group is Heisenberg exactly when the
+cokernel is trivial.  Each key's rule home refuses it (a non-integer too) or returns
+what its closed form needs, and every entry point calls it: kum_div0_m (KUM (div, q)),
+_kum_class_b (KUM class), og6_cokernel (OG6), rank4_a (RANK4's e; the record keeps the
+n rules and RANK4's div).  Independent routes: KUM's criterion, checked by theta_report;
+OG6's model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .arith import Record
+from .arith import Record, int_tuple
 from .finabgrp import AbGroupStructure
 
 __all__ = [
@@ -63,16 +64,11 @@ class LineBundleInvariants(Record):
         elif family is Family.OG6:
             if n is not None:
                 raise ValueError("OG6 takes no parameter n")
-            if div not in (1, 2):
-                raise ValueError("OG6 divisibility must be 1 or 2")
-            if q % 2:
-                raise ValueError("the square q is always even; odd input rejected")
-            if div == 2 and q % 8 not in (4, 6):
-                raise ValueError("OG6 divisibility 2 forces q = -2 or -4 mod 8")
+            og6_cokernel(div, q)
         elif family is Family.RANK4:
             if n is not None:
                 raise ValueError("RANK4 takes no parameter n")
-            if div != 2:
+            if int_tuple((div,)) != (2,):
                 raise ValueError("RANK4 sheaves have divisibility 2")
             rank4_a(q)  # validates q > 0 and q = -6 mod 16
         else:
@@ -83,14 +79,18 @@ class LineBundleInvariants(Record):
 def kum_div0_m(n: int | None, div: int, q: int) -> tuple[int, int]:
     """The Kummer (div, q) key's rules and its (div0, m): div0 = gcd(n+1, div)
     and m = gcd(n+1, q/(2*div0)), a gcd of absolute values, so any sign of q works."""
-    if n is None or n < 2:
-        raise ValueError("KUM requires n >= 2")
-    if div < 1 or (2 * (n + 1)) % div:
-        raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
-    div0 = math.gcd(n + 1, div)
-    if q % (2 * div0):
-        raise ValueError(f"2*div0 = {2 * div0} must divide q = {q}")
-    return div0, math.gcd(n + 1, q // (2 * div0))
+    try:
+        if n is None or n < 2:
+            raise ValueError("KUM requires n >= 2")
+        if div < 1 or (2 * (n + 1)) % div:
+            raise ValueError(f"divisibility {div} must divide {2 * (n + 1)}")
+        div0 = math.gcd(n + 1, div)
+        if q % (2 * div0):
+            raise ValueError(f"2*div0 = {2 * div0} must divide q = {q}")
+        return div0, math.gcd(n + 1, q // (2 * div0))
+    except TypeError:  # math.gcd or an operator met a non-integer: name it
+        int_tuple((n, div, q))
+        raise
 
 
 def kum_cokernel(n: int, div: int, q: int) -> AbGroupStructure:
@@ -108,11 +108,15 @@ def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
 
 def _kum_class_b(n: int, a1: int, a2: int, x: int) -> tuple[int, int]:
     kum_div0_m(n, 1, 0)  # the n rule; (div, q) = (1, 0) passes the others
-    if a1 < 1 or a2 < 1 or a2 % a1:
-        raise ValueError("need 1 <= a1 | a2")
-    if math.gcd(a1, x) != 1:
-        raise ValueError("primitivity requires gcd(a1, x) = 1")
-    return math.gcd(n + 1, a1), math.gcd(n + 1, a2)
+    try:
+        if a1 < 1 or a2 < 1 or a2 % a1:
+            raise ValueError("need 1 <= a1 | a2")
+        if math.gcd(a1, x) != 1:
+            raise ValueError("primitivity requires gcd(a1, x) = 1")
+        return math.gcd(n + 1, a1), math.gcd(n + 1, a2)
+    except TypeError:  # math.gcd or an operator met a non-integer: name it
+        int_tuple((a1, a2, x))
+        raise
 
 
 def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
@@ -122,9 +126,7 @@ def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvarian
     the cokernel formula is 2*a1*a2.
     """
     _kum_class_b(n, a1, a2, x)
-    return LineBundleInvariants(
-        family=Family.KUM, div=math.gcd(2 * (n + 1), a1), q=2 * a1 * a2, n=n
-    )
+    return LineBundleInvariants(Family.KUM, math.gcd(2 * (n + 1), a1), 2 * a1 * a2, n)
 
 
 def kum_cokernel_from_class(n: int, a1: int, a2: int, x: int) -> AbGroupStructure:
@@ -135,42 +137,39 @@ def kum_cokernel_from_class(n: int, a1: int, a2: int, x: int) -> AbGroupStructur
 
 
 def og6_cokernel(div: int, q: int) -> AbGroupStructure:
-    """Trivial, (Z/2)^4, or (Z/2)^8 by (div, q mod 4)."""
-    inv = LineBundleInvariants(family=Family.OG6, div=div, q=q)
-    if inv.div == 1:
-        if q % 4:
-            return AbGroupStructure(())
-        return AbGroupStructure.from_cyclic_orders((2,) * 4)
-    return AbGroupStructure.from_cyclic_orders((2,) * 8)
+    """The OG6 key's rules and its cokernel: trivial, (Z/2)^4, or (Z/2)^8 by (div, q mod 4)."""
+    div, q = int_tuple((div, q))
+    if div not in (1, 2):
+        raise ValueError("OG6 divisibility must be 1 or 2")
+    if q % 2:
+        raise ValueError("the square q is always even; odd input rejected")
+    if div == 2 and q % 8 not in (4, 6):
+        raise ValueError("OG6 divisibility 2 forces q = -2 or -4 mod 8")
+    return AbGroupStructure.from_cyclic_orders((2,) * (8 if div == 2 else 0 if q % 4 else 4))
 
 
 def og6_is_heisenberg(div: int, q: int) -> bool:
-    """Criterion: div = 1 and 4 does not divide q."""
-    LineBundleInvariants(family=Family.OG6, div=div, q=q)
-    return div == 1 and q % 4 != 0
+    """Heisenberg exactly when og6_cokernel is trivial."""
+    return og6_cokernel(div, q).is_trivial()
 
 
 def rank4_a(e: int) -> int:
     """The parameter a with e = 16a - 6 (so 2a is the square of the base polarization)."""
+    [e] = int_tuple((e,))
     if e <= 0 or e % 16 != 10:
         raise ValueError(f"need e > 0 with e = -6 mod 16, got {e}")
     return (e + 6) // 16
 
 
 def rank4_cokernel(e: int) -> AbGroupStructure:
-    """Trivial when 3 does not divide e, else (Z/3)^2."""
-    a = rank4_a(e)
-    if (e % 3 == 0) != (a % 3 == 0):
-        raise AssertionError("3 | e and 3 | a must be equivalent under e = 16a - 6")
-    if e % 3:
-        return AbGroupStructure(())
-    return AbGroupStructure.from_cyclic_orders((3, 3))
+    """Trivial when 3 does not divide e (equivalently a), else (Z/3)^2."""
+    rank4_a(e)
+    return AbGroupStructure.from_cyclic_orders((3, 3) if e % 3 == 0 else ())
 
 
 def rank4_is_heisenberg(e: int) -> bool:
-    """Criterion: 3 does not divide e."""
-    rank4_a(e)
-    return e % 3 != 0
+    """Heisenberg exactly when rank4_cokernel is trivial."""
+    return rank4_cokernel(e).is_trivial()
 
 
 MAX_H0_BITS = 14_000  # about 4,215 digits: under CPython's default 4,300-digit int-to-str limit
@@ -211,7 +210,7 @@ class ThetaReport(Record):
 
 
 def theta_report(inv: LineBundleInvariants) -> ThetaReport:
-    """Evaluate cokernel and criterion independently; they must agree.
+    """The verdict is cokernel triviality; KUM's criterion, a second route, must agree.
 
     h0 is present only for q > 0; the multiplicity h0 / (Schrodinger dim) is
     present only when the theta group is Heisenberg and h0 is defined.
@@ -220,25 +219,24 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     if inv.family is Family.KUM:
         div0, m = kum_div0_m(inv.n, inv.div, inv.q)
         cokernel = AbGroupStructure.from_cyclic_orders((div0, div0, m, m))
-        criterion = kum_is_heisenberg(inv.n, inv.div, inv.q)
+        if (criterion := kum_is_heisenberg(inv.n, inv.div, inv.q)) != cokernel.is_trivial():
+            raise AssertionError(
+                f"Heisenberg criterion and cokernel triviality disagree at (n, div, q) = "
+                f"({inv.n}, {inv.div}, {inv.q}): criterion {str(criterion).lower()}, "
+                f"cokernel {list(cokernel.invariant_factors)}")
         rep_size = (inv.n + 1) ** 2
     elif inv.family is Family.OG6:
-        cokernel = og6_cokernel(inv.div, inv.q)
-        criterion = og6_is_heisenberg(inv.div, inv.q)
-        rep_size = 16
+        cokernel, rep_size = og6_cokernel(inv.div, inv.q), 16
     else:
-        cokernel = rank4_cokernel(inv.q)
-        criterion = rank4_is_heisenberg(inv.q)
-        rep_size = 9
-    if criterion != cokernel.is_trivial():
-        raise AssertionError("Heisenberg criterion and cokernel triviality disagree")
+        cokernel, rep_size = rank4_cokernel(inv.q), 9
+    heisenberg = cokernel.is_trivial()
     h0 = riemann_roch(inv) if inv.q > 0 else None
     multiplicity = None
-    if criterion and h0 is not None:  # the Schrodinger dimension: type (n+1)^2, 2^4, 3^2
+    if heisenberg and h0 is not None:  # the Schrodinger dimension: type (n+1)^2, 2^4, 3^2
         multiplicity, rest = divmod(h0, rep_size)
         if rest:
             raise AssertionError(f"h0 is not a multiple of the Schrodinger dimension {rep_size}")
-    return ThetaReport._make(inv, div0, m, cokernel, criterion, h0, multiplicity)
+    return ThetaReport._make(inv, div0, m, cokernel, heisenberg, h0, multiplicity)
 
 
 def report_to_dict(report: ThetaReport) -> dict:

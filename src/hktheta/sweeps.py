@@ -111,9 +111,9 @@ def _brute_standard_kum(n: int, b1: int, b2: int) -> AbGroupStructure:
 
 
 def sweep_kum_three_way() -> SweepResult:
-    """Class formula == (div,q) formula at the class's invariants == brute
-    force on the model pairing, for 2 <= n <= 10, a1 | a2 <= 36 and x in
-    {0, 1} with gcd(a1, x) = 1."""
+    """Class formula == (div,q) formula at the class's invariants == brute force on the
+    model pairing (built from b_i = gcd(n+1, a_i), the class formula itself, until a derived
+    pairing replaces it), for 2 <= n <= 10, a1 | a2 <= 36, x in {0, 1}, gcd(a1, x) = 1."""
 
     def outcomes():
         for n in range(2, 11):

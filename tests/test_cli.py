@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import hktheta
 import hktheta.cli as cli
 import hktheta.finabgrp as finabgrp
+import hktheta.invariants as invariants
 from hktheta.cli import main
 from hktheta.finabgrp import (
     MAX_ENTRY_DIGITS,
@@ -1487,6 +1488,34 @@ def test_kummer_cross_check_survives_optimize():
     assert proc.stderr.startswith("internal check failed: class route and (div, q) route disagree")
 
 
+def test_kummer_criterion_disagreeing_with_the_cokernel_is_an_internal_error(
+        capsys, monkeypatch):
+    # the report's one cross-check is KUM's: its closed-form criterion against
+    # the cokernel's triviality; a planted wrong criterion exits 3 with one line
+    # that names the key and both answers, under python -O too
+    argv = ["kummer", "--n", "2", "--div", "1", "--q", "6"]
+    monkeypatch.setattr(invariants, "kum_is_heisenberg", lambda n, div, q: True)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (
+        3, "", "internal check failed: Heisenberg criterion and cokernel triviality disagree "
+        "at (n, div, q) = (2, 1, 6): criterion true, cokernel [3, 3]\n")
+
+    planted = (
+        "import sys\n"
+        "import hktheta.invariants as invariants\n"
+        "import hktheta.cli as cli\n"
+        "invariants.kum_is_heisenberg = lambda n, div, q: True\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", planted, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 _NONDEGENERATE_DOC = {"orders": [3, 3], "matrix": [["0/1", "1/3"], ["2/3", "0/1"]]}
 
 
@@ -1566,16 +1595,18 @@ def test_the_cli_builds_no_trusted_values():
 
 def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
     # every rule of the four theta keys has one home, which raises it and
-    # nothing else does: kum_div0_m for the Kummer (div, q) key, the record for
-    # OG6 and RANK4's n and div, rank4_a for RANK4's e, _kum_class_b for the
-    # Kummer class key; an orbit x0 or a realisability rule joins its key's home
+    # nothing else does: kum_div0_m for the Kummer (div, q) key, og6_cokernel
+    # for the OG6 key, the record for OG6 and RANK4's n and RANK4's div, rank4_a
+    # for RANK4's e, _kum_class_b for the Kummer class key; an orbit x0 or a
+    # realisability rule joins its key's home
     homes = {
         "invariants.kum_div0_m": {"KUM requires n >= 2", "divisibility {} must divide {}",
                                   "2*div0 = {} must divide q = {}"},
+        "invariants.og6_cokernel": {
+            "OG6 divisibility must be 1 or 2", "the square q is always even; odd input rejected",
+            "OG6 divisibility 2 forces q = -2 or -4 mod 8"},
         "invariants.LineBundleInvariants.__init__": {
-            "OG6 takes no parameter n", "OG6 divisibility must be 1 or 2",
-            "the square q is always even; odd input rejected",
-            "OG6 divisibility 2 forces q = -2 or -4 mod 8", "RANK4 takes no parameter n",
+            "OG6 takes no parameter n", "RANK4 takes no parameter n",
             "RANK4 sheaves have divisibility 2",
             "family must be a Family member: KUM, OG6 or RANK4"},
         "invariants.rank4_a": {"need e > 0 with e = -6 mod 16, got {}"},
@@ -1632,6 +1663,30 @@ def test_trial_division_has_only_bounded_callers():
                         if callee in ("factorint", "divisors"):
                             found.add(f"{path.name}:{name}")
     assert not found, f"unbounded trial division in src/hktheta: {', '.join(sorted(found))}"
+
+
+def _float_arithmetic(tree) -> list[int]:
+    """Lines of true division (/, /=), float literals and float() calls in the tree."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        or isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+    )
+
+
+def test_source_has_no_float_arithmetic():
+    # exact arithmetic: every value is an int, a QmodZ or a structure of them,
+    # so src/hktheta divides with // only and never makes a float
+    assert _float_arithmetic(ast.parse("a = 1 / 2\nb /= 3\nc = 0.5\nd = float(e)\n")) == [
+        1, 2, 3, 4]
+    src = Path(hktheta.__file__).resolve().parent
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _float_arithmetic(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not found, f"float arithmetic in src/hktheta: {', '.join(found)}"
 
 
 def test_source_imports_only_the_standard_library():

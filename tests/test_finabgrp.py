@@ -149,6 +149,15 @@ def test_non_integers_are_refused_not_truncated(build, bad):
         build()
 
 
+@pytest.mark.parametrize("key, bad", [((2.0, 1, 3), "2.0"), ((2, 1.0, 3), "1.0"),
+                                      ((2, 1, 3.0), "3.0")])
+def test_the_kum_model_pairing_refuses_a_non_integer_key(key, bad):
+    # a float n, b1 or b2 would store float units that compare equal to the
+    # integer model's, and pairing_cokernel would then raise a TypeError
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(bad)}$"):
+        standard_kum_pairing(*key)
+
+
 def test_from_cyclic_orders_golden():
     fco = AbGroupStructure.from_cyclic_orders
     assert fco([4, 6]).invariant_factors == (2, 12)

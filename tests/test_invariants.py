@@ -8,7 +8,7 @@ import pytest
 from hktheta import invariants
 from hktheta.arith import divisors
 from hktheta.cli import main
-from hktheta.finabgrp import brute_cokernel, standard_kum_pairing
+from hktheta.finabgrp import AbGroupStructure, brute_cokernel, standard_kum_pairing
 from hktheta.invariants import (
     MAX_H0_BITS,
     Family,
@@ -179,6 +179,31 @@ def test_refused_kum_key_has_one_message_at_every_entry_point(capsys, key, messa
             route(*values)
     argv = [command, *(word for pair in zip(options, map(str, values)) for word in pair)]
     assert (main(argv), *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
+# an accepted key per tag, in _KEY_ENTRY_POINTS' order
+_ACCEPTED_KEYS = {"kum": (2, 1, 6), "class": (2, 1, 3, 0), "og6": (1, 2), "rank4": (10,)}
+
+
+@pytest.mark.parametrize(
+    "tag, position", [(tag, i) for tag, key in _ACCEPTED_KEYS.items() for i in range(len(key))])
+def test_a_non_integer_key_is_refused_at_every_entry_point(tag, position):
+    # a float equal to an accepted value is no integer: each rule home refuses
+    # it in int_tuple's one line, so no entry point answers, stores it or
+    # raises a TypeError
+    values = list(_ACCEPTED_KEYS[tag])
+    values[position] = float(values[position])
+    message = f"expected an integer, got {values[position]!r}"
+    for route in _KEY_ENTRY_POINTS[tag][1]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(*values)
+
+
+def test_the_rank4_record_refuses_a_non_integer_divisibility():
+    with pytest.raises(ValueError, match="^RANK4 sheaves have divisibility 2$"):
+        LineBundleInvariants(Family.RANK4, 3, 10)
+    with pytest.raises(ValueError, match=r"^expected an integer, got 2\.0$"):
+        LineBundleInvariants(Family.RANK4, 2.0, 10)
 
 
 @pytest.mark.parametrize("family", ["kum", "rank4", None])
@@ -380,6 +405,33 @@ def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
     assert calls <= 2
     assert (rep.div0, rep.m, rep.cokernel.invariant_factors, rep.is_heisenberg) == (
         3, 1, (3, 3), False)
+
+
+@pytest.mark.parametrize("inv", [og6_inv(1, 2), og6_inv(1, 4), og6_inv(2, -2), rank4_inv(10),
+                                 rank4_inv(42)], ids=lambda inv: f"{inv.family.value}-{inv.q}")
+def test_og6_and_rank4_reports_build_no_record(monkeypatch, inv):
+    # the verdict is the cokernel's triviality: the report builds no record to
+    # validate its key, and an OG6 report evaluates og6_cokernel once
+    built, calls = [], []
+
+    def counted(*args, original=invariants.og6_cokernel):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(LineBundleInvariants, "__init__", lambda self, *args: built.append(args))
+    monkeypatch.setattr(invariants, "og6_cokernel", counted)
+    rep = theta_report(inv)
+    assert built == []
+    assert calls == ([(inv.div, inv.q)] if inv.family is Family.OG6 else [])
+    assert rep.is_heisenberg == rep.cokernel.is_trivial()
+
+
+def test_og6_and_rank4_verdicts_are_the_cokernels_triviality(monkeypatch):
+    # the verdicts hold no predicate of their own: a planted cokernel decides them
+    assert og6_is_heisenberg(1, 2) and rank4_is_heisenberg(10)
+    monkeypatch.setattr(invariants, "og6_cokernel", lambda div, q: AbGroupStructure((2, 2)))
+    monkeypatch.setattr(invariants, "rank4_cokernel", lambda e: AbGroupStructure((3, 3)))
+    assert not og6_is_heisenberg(1, 2) and not rank4_is_heisenberg(10)
 
 
 def test_theta_report_non_heisenberg_kum():
