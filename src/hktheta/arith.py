@@ -95,6 +95,7 @@ def divisor_chain(orders) -> list[int]:
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
+    [n] = int_tuple((n,))
     if n < 1:
         raise ValueError("factorint requires a positive integer")
     out: dict[int, int] = {}
@@ -111,6 +112,7 @@ def factorint(n: int) -> dict[int, int]:
 
 def divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
+    [n] = int_tuple((n,))
     if n < 1:
         raise ValueError("divisors requires a positive integer")
     out = [1]

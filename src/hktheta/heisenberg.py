@@ -55,6 +55,8 @@ class HeisElem(Record):
     __slots__ = ("scalar", "x", "f")
 
     def __init__(self, scalar: QmodZ, x: GroupElement, f: GroupElement):
+        if not isinstance(scalar, QmodZ) or not all(isinstance(p, GroupElement) for p in (x, f)):
+            raise ValueError("a Heisenberg element is a QmodZ scalar and two GroupElement parts")
         if x.group != f.group:
             raise ValueError("translation and character parts must share the type d")
         self._set(scalar, x, f)
@@ -281,6 +283,7 @@ def schrodinger_multiplicity(dim_v: int, d) -> int:
     of the Schrodinger representation, so the multiplicity is dim_v / prod(d);
     a non-integral ratio means no such representation exists.
     """
+    [dim_v] = int_tuple((dim_v,))
     if dim_v < 0:
         raise ValueError("dimension must be nonnegative")
     size = FinAbGroup(tuple(d)).order

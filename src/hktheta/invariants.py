@@ -14,9 +14,10 @@ at n = 24 the key (div, q) = (5, 50) has the cokernels [5, 5, 5, 5] and
 or (Z/3)^2 according to 3 | e.  The theta group is Heisenberg exactly when the
 cokernel is trivial.  Each key's rule home refuses it (a non-integer too) or returns
 what its closed form needs, and every entry point calls it: kum_div0_m (KUM (div, q)),
-_kum_class_b (KUM class), og6_cokernel (OG6), rank4_a (RANK4's e; the record keeps the
-n rules and RANK4's div).  Independent routes: KUM's criterion, checked by theta_report;
-OG6's model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
+kum_class_invariants (KUM class, whose formula b_i = gcd(n+1, a_i) it checks against
+kum_div0_m), og6_cokernel (OG6), rank4_a (RANK4's e; the record keeps the n rules and
+RANK4's div).  Independent routes: KUM's criterion, checked by theta_report; OG6's
+model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "kum_div0_m",
     "kum_cokernel",
     "kum_is_heisenberg",
-    "kum_cokernel_from_class",
     "kum_class_invariants",
     "og6_cokernel",
     "og6_is_heisenberg",
@@ -106,34 +106,27 @@ def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
     return small_div and math.gcd(n + 1, q // 2) == 1
 
 
-def _kum_class_b(n: int, a1: int, a2: int, x: int) -> tuple[int, int]:
+def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
+    """The Kummer class key's rules and record: elementary divisors 1 <= a1 | a2, x along
+    delta, gcd(a1, x) = 1, so div = gcd(2(n+1), a1) and q = 2*a1*a2.  Each call checks the
+    class formula b_i = gcd(n+1, a_i) against kum_div0_m's (div0, m), which it equals: with
+    k, s, t the valuations of n+1, a1, a2 at a prime (s <= t), div0 has min(k, s) and m has
+    min(k, s + t - min(k, s)) = min(k, t)."""
     kum_div0_m(n, 1, 0)  # the n rule; (div, q) = (1, 0) passes the others
     try:
         if a1 < 1 or a2 < 1 or a2 % a1:
             raise ValueError("need 1 <= a1 | a2")
         if math.gcd(a1, x) != 1:
             raise ValueError("primitivity requires gcd(a1, x) = 1")
-        return math.gcd(n + 1, a1), math.gcd(n + 1, a2)
+        b = math.gcd(n + 1, a1), math.gcd(n + 1, a2)
     except TypeError:  # math.gcd or an operator met a non-integer: name it
         int_tuple((a1, a2, x))
         raise
-
-
-def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvariants:
-    """Invariants of the class with elementary divisors (a1, a2) and x along delta.
-
-    Primitivity gcd(a1, x) = 1 pins div = gcd(2(n+1), a1); the square entering
-    the cokernel formula is 2*a1*a2.
-    """
-    _kum_class_b(n, a1, a2, x)
-    return LineBundleInvariants(Family.KUM, math.gcd(2 * (n + 1), a1), 2 * a1 * a2, n)
-
-
-def kum_cokernel_from_class(n: int, a1: int, a2: int, x: int) -> AbGroupStructure:
-    """(Z/b1)^2 + (Z/b2)^2 with b_i = gcd(n+1, a_i), the class formula alone;
-    the CLI and the three-way sweep compare it with the (div, q) route."""
-    b1, b2 = _kum_class_b(n, a1, a2, x)
-    return AbGroupStructure.from_cyclic_orders((b1, b1, b2, b2))
+    div, q = math.gcd(2 * (n + 1), a1), 2 * a1 * a2
+    if (div0_m := kum_div0_m(n, div, q)) != b:
+        raise AssertionError(f"class formula and (div, q) route disagree at (n, a1, a2, x) = "
+                             f"{(n, a1, a2, x)}: (b1, b2) = {b}, (div0, m) = {div0_m}")
+    return LineBundleInvariants._make(Family.KUM, div, q, n)
 
 
 def og6_cokernel(div: int, q: int) -> AbGroupStructure:

@@ -85,6 +85,7 @@ def _block_diag(blocks):
 
 def hyperbolic_sum(copies: int) -> GramLattice:
     """Orthogonal sum of `copies` hyperbolic planes U."""
+    [copies] = int_tuple((copies,))
     if copies < 1:
         raise ValueError("need at least one hyperbolic plane")
     basis = tuple(x for i in range(1, copies + 1) for x in (f"e{i}", f"f{i}"))
@@ -93,6 +94,7 @@ def hyperbolic_sum(copies: int) -> GramLattice:
 
 def lambda_kum(n: int) -> GramLattice:
     """U^3 + Z*delta with delta^2 = -2(n+1); basis (e1,f1,e2,f2,e3,f3,delta)."""
+    [n] = int_tuple((n,))
     if n < 2:
         raise ValueError("Kummer-type parameter n must be >= 2")
     gram = _block_diag([_U, _U, _U, ((-2 * (n + 1),),)])

@@ -31,7 +31,6 @@ from .invariants import (
     LineBundleInvariants,
     kum_class_invariants,
     kum_cokernel,
-    kum_cokernel_from_class,
     kum_div0_m,
     kum_is_heisenberg,
     og6_cokernel,
@@ -106,14 +105,15 @@ def sweep_kum_criterion() -> SweepResult:
 
 
 @lru_cache(maxsize=None)
-def _brute_standard_kum(n: int, b1: int, b2: int) -> AbGroupStructure:
-    return brute_cokernel(standard_kum_pairing(n, b1, b2))
+def _standard_kum_cokernels(n: int, b1: int, b2: int) -> tuple[AbGroupStructure, ...]:
+    pairing = standard_kum_pairing(n, b1, b2)
+    return pairing_cokernel(pairing), brute_cokernel(pairing)
 
 
 def sweep_kum_three_way() -> SweepResult:
-    """Class formula == (div,q) formula at the class's invariants == brute force on the
-    model pairing (built from b_i = gcd(n+1, a_i), the class formula itself, until a derived
-    pairing replaces it), for 2 <= n <= 10, a1 | a2 <= 36, x in {0, 1}, gcd(a1, x) = 1."""
+    """(div, q) closed form at the class's key == Smith form == enumeration on the class's
+    model pairing, whose multipliers gcd(n+1, a_i) are the sweep's own input (cached per model),
+    for 2 <= n <= 10, a1 | a2 <= 36, x in {0, 1}, gcd(a1, x) = 1."""
 
     def outcomes():
         for n in range(2, 11):
@@ -123,9 +123,9 @@ def sweep_kum_three_way() -> SweepResult:
                         if math.gcd(a1, x) != 1:
                             continue
                         inv = kum_class_invariants(n, a1, a2, x)
-                        brute = _brute_standard_kum(n, math.gcd(n + 1, a1), math.gcd(n + 1, a2))
-                        yield (kum_cokernel_from_class(n, a1, a2, x)
-                               == kum_cokernel(n, inv.div, inv.q) == brute)
+                        smith, brute = _standard_kum_cokernels(
+                            n, math.gcd(n + 1, a1), math.gcd(n + 1, a2))
+                        yield kum_cokernel(n, inv.div, inv.q) == smith == brute
 
     return _tally("kum three-way agreement", outcomes())
 

@@ -151,12 +151,31 @@ def test_kummer_class_route(capsys):
 
 
 def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
-    # n = 2, a1 = a2 = 1 has a trivial cokernel; a wrong class route must not pass
-    wrong = AbGroupStructure((3, 3))
-    monkeypatch.setattr("hktheta.cli.kum_cokernel_from_class", lambda *args: wrong)
+    # n = 2, a1 = a2 = 1 has (b1, b2) = (1, 1); a (div, q) route that answers m = 3
+    # must not pass
+    div0_m = invariants.kum_div0_m
+    monkeypatch.setattr(invariants, "kum_div0_m", lambda n, div, q: (div0_m(n, div, q)[0], 3))
     code, out, err = run_cli(capsys, "kummer", "--n", "2", "--a1", "1", "--a2", "1", "--x", "0")
     assert code == 3 and out == ""
-    assert err == "internal check failed: class route and (div, q) route disagree: [3, 3] vs []\n"
+    assert err == ("internal check failed: class formula and (div, q) route disagree at "
+                   "(n, a1, a2, x) = (2, 1, 1, 0): (b1, b2) = (1, 1), (div0, m) = (1, 3)\n")
+
+
+def test_a_class_request_checks_its_key_once(capsys, monkeypatch):
+    # the class key's rules and formula check (2 kum_div0_m calls), then the report
+    # (its (div0, m) and the criterion's rules): no record is built by __init__
+    calls = {"kum_div0_m": 0, "__init__": 0}
+    record = invariants.LineBundleInvariants
+    div0_m, init = invariants.kum_div0_m, record.__init__
+
+    def counted(name, function):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or function(*args)
+
+    monkeypatch.setattr(invariants, "kum_div0_m", counted("kum_div0_m", div0_m))
+    monkeypatch.setattr(record, "__init__", counted("__init__", init))
+    code, out, _ = run_cli(capsys, "kummer", "--n", "4", "--a1", "1", "--a2", "5", "--x", "0")
+    assert code == 0 and "cokernel: [5, 5]" in out.splitlines()
+    assert calls["kum_div0_m"] <= 4 and calls["__init__"] == 0
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -177,7 +196,8 @@ def test_kummer_class_route_check_fires_on_a_wrong_div_q_route(flags):
         text=True,
         env=_child_env(),
     )
-    err = "internal check failed: class route and (div, q) route disagree: [3, 3] vs [7, 7]\n"
+    err = ("internal check failed: class formula and (div, q) route disagree at (n, a1, a2, x) "
+           "= (2, 1, 3, 0): (b1, b2) = (1, 3), (div0, m) = (1, 7)\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
@@ -369,6 +389,17 @@ def test_pairing_cokernel(capsys, kum_pairing_file):
     # the enumeration oracle agrees through the CLI as well
     rec = run_json(capsys, "pairing", "cokernel", "--oracle", "--file", kum_pairing_file)
     assert rec == {"cokernel": [3, 3]}
+
+
+@pytest.mark.parametrize("question, planted, record", [
+    ("cokernel", (7,), {"cokernel": [7]}), ("radical", (7,), {"radical": [7]}),
+    ("nondeg", (), {"nondegenerate": True})], ids=["cokernel", "radical", "nondeg"])
+def test_pairing_oracle_answers_every_question_by_enumeration(
+        capsys, monkeypatch, kum_pairing_file, question, planted, record):
+    # the document's cokernel is Z/3 x Z/3; a planted brute_cokernel that answers
+    # otherwise shows that --oracle answers each question by enumeration
+    monkeypatch.setattr(cli, "brute_cokernel", lambda pairing: AbGroupStructure(planted))
+    assert run_json(capsys, "pairing", question, "--oracle", "--file", kum_pairing_file) == record
 
 
 def test_pairing_radical_and_nondeg(capsys, kum_pairing_file, tmp_path):
@@ -990,8 +1021,8 @@ def test_sweep_only_runs_one_sweep(capsys, monkeypatch):
 
 
 def test_main_can_be_called_again_in_one_process(capsys, monkeypatch, kum_pairing_file):
-    wrong = AbGroupStructure((3, 3))
-    monkeypatch.setattr("hktheta.cli.kum_cokernel_from_class", lambda *args: wrong)
+    div0_m = invariants.kum_div0_m  # its rules still run; its m is wrong
+    monkeypatch.setattr(invariants, "kum_div0_m", lambda n, div, q: (div0_m(n, div, q)[0], 3))
     sequence = [
         ("og6", "--div", "1"),  # usage error
         ("kummer", "--n", "2", "--div", "4", "--q", "2"),  # domain error
@@ -1474,8 +1505,9 @@ def test_kummer_cross_check_survives_optimize():
     planted = (
         "import sys\n"
         "import hktheta.cli as cli\n"
-        "from hktheta.finabgrp import AbGroupStructure\n"
-        "cli.kum_cokernel_from_class = lambda *args: AbGroupStructure((3, 3))\n"
+        "import hktheta.invariants as invariants\n"
+        "div0_m = invariants.kum_div0_m\n"
+        "invariants.kum_div0_m = lambda n, div, q: (div0_m(n, div, q)[0], 3)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     proc = subprocess.run(
@@ -1484,8 +1516,9 @@ def test_kummer_cross_check_survives_optimize():
         text=True,
         env=_child_env(),
     )
-    assert proc.returncode == 3
-    assert proc.stderr.startswith("internal check failed: class route and (div, q) route disagree")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "internal check failed: class formula and (div, q) route disagree at "
+        "(n, a1, a2, x) = (2, 1, 1, 0): (b1, b2) = (1, 1), (div0, m) = (1, 3)\n")
 
 
 def test_kummer_criterion_disagreeing_with_the_cokernel_is_an_internal_error(
@@ -1595,9 +1628,9 @@ def test_the_cli_builds_no_trusted_values():
 
 def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
     # every rule of the four theta keys has one home, which raises it and
-    # nothing else does: kum_div0_m for the Kummer (div, q) key, og6_cokernel
+    # nothing else does: kum_div0_m for the Kummer (div, q) key and n, og6_cokernel
     # for the OG6 key, the record for OG6 and RANK4's n and RANK4's div, rank4_a
-    # for RANK4's e, _kum_class_b for the Kummer class key; an orbit x0 or a
+    # for RANK4's e, kum_class_invariants for the Kummer class key; an orbit x0 or a
     # realisability rule joins its key's home
     homes = {
         "invariants.kum_div0_m": {"KUM requires n >= 2", "divisibility {} must divide {}",
@@ -1610,7 +1643,8 @@ def test_kummer_key_rules_are_raised_in_kum_div0_m_only():
             "RANK4 sheaves have divisibility 2",
             "family must be a Family member: KUM, OG6 or RANK4"},
         "invariants.rank4_a": {"need e > 0 with e = -6 mod 16, got {}"},
-        "invariants._kum_class_b": {"need 1 <= a1 | a2", "primitivity requires gcd(a1, x) = 1"},
+        "invariants.kum_class_invariants": {"need 1 <= a1 | a2",
+                                            "primitivity requires gcd(a1, x) = 1"},
     }
     rules = set().union(*homes.values())
 

@@ -15,7 +15,7 @@ EXPORTS_BEFORE = [
     "standard_kum_pairing", "standard_og6_pairing", "tensor_pairing", "GenPermMatrix",
     "HeisElem", "character_norm", "h_commutator", "h_mul", "heis_pairing", "schrodinger_matrix",
     "schrodinger_multiplicity", "Family", "LineBundleInvariants", "ThetaReport", "kum_cokernel",
-    "kum_cokernel_from_class", "og6_cokernel", "rank4_cokernel", "riemann_roch", "theta_report",
+    "og6_cokernel", "rank4_cokernel", "riemann_roch", "theta_report",
     "GramLattice", "OG6Class", "OrbitInvariant", "bbf_pair", "bbf_square", "divisibility",
     "is_primitive", "kum_orbit_split", "lambda_kum", "lambda_og6", "og6_class", "__version__",
 ]
@@ -25,7 +25,7 @@ def test_package_exports_the_layers_lists():
     names = hktheta.__all__
     assert len(names) == len(set(names))
     assert names == ["__version__", *(name for layer in LAYERS for name in layer.__all__)]
-    assert len(EXPORTS_BEFORE) == 43 and set(EXPORTS_BEFORE) <= set(names)
+    assert len(EXPORTS_BEFORE) == 42 and set(EXPORTS_BEFORE) <= set(names)
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(hktheta, name) is getattr(layer, name), name

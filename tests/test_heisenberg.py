@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hktheta.arith import Record
+from hktheta.arith import Record, divisors, factorint
 from hktheta.finabgrp import (
     FinAbGroup,
     GroupElement,
@@ -33,6 +34,7 @@ from hktheta.heisenberg import (
     schrodinger_matrix,
     schrodinger_multiplicity,
 )
+from hktheta.lattices import hyperbolic_sum, lambda_kum
 from hk_helpers import as_fraction, character_eval, qmodz_sum, to_qmodz
 
 TYPES = [(2,), (3,), (4,), (2, 2), (3, 3), (2, 2, 2, 2)]
@@ -418,6 +420,36 @@ def test_non_integer_types_are_refused_not_truncated(build):
     # int() would have read (2.5,) as (2,), giving a (2, 2) pairing and a
     # multiplicity of 2
     with pytest.raises(ValueError, match=r"^expected an integer, got 2\.[59]$"):
+        build()
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: schrodinger_multiplicity(16.0, (2, 2)), "16.0"),
+    (lambda: divisors(12.0), "12.0"),
+    (lambda: factorint(12.0), "12.0"),
+    (lambda: lambda_kum(2.5), "2.5"),
+    (lambda: hyperbolic_sum(2.0), "2.0"),
+], ids=["schrodinger_multiplicity", "divisors", "factorint", "lambda_kum", "hyperbolic_sum"])
+def test_integer_helpers_refuse_a_non_integer(build, bad):
+    # each once answered in floats (4.0, float divisors, {2: 2, 3.0: 1}), named
+    # a computed value (-7.0) or raised a bare TypeError
+    with pytest.raises(ValueError, match=f"^expected an integer, got {re.escape(bad)}$"):
+        build()
+
+
+_J2 = FinAbGroup((2,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: heis_elem((2,), 0, (1,), (0,)),
+    lambda: HeisElem(Fraction(1, 2), _J2.zero(), _J2.zero()),
+    lambda: HeisElem(QmodZ(0), (1,), _J2.zero()),
+    lambda: HeisElem(QmodZ(0), _J2.zero(), (0,)),
+], ids=["int-scalar", "fraction-scalar", "tuple-x", "tuple-f"])
+def test_heis_elem_refuses_parts_of_the_wrong_kind(build):
+    # an int scalar once built an element on which h_mul raised AttributeError
+    message = "a Heisenberg element is a QmodZ scalar and two GroupElement parts"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
 

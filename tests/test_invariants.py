@@ -15,7 +15,6 @@ from hktheta.invariants import (
     LineBundleInvariants,
     kum_class_invariants,
     kum_cokernel,
-    kum_cokernel_from_class,
     kum_div0_m,
     kum_is_heisenberg,
     og6_cokernel,
@@ -144,8 +143,7 @@ def test_kum_cokernel_matches_enumeration():
 _KEY_ENTRY_POINTS = {
     "kum": (["kummer", "--n", "--div", "--q"],
             [kum_inv, kum_div0_m, kum_cokernel, kum_is_heisenberg]),
-    "class": (["kummer", "--n", "--a1", "--a2", "--x"],
-              [kum_class_invariants, invariants._kum_class_b, kum_cokernel_from_class]),
+    "class": (["kummer", "--n", "--a1", "--a2", "--x"], [kum_class_invariants]),
     "og6": (["og6", "--div", "--q"], [og6_inv, og6_cokernel, og6_is_heisenberg]),
     "rank4": (["rank4", "--e"], [rank4_inv, rank4_a, rank4_cokernel, rank4_is_heisenberg]),
 }
@@ -233,16 +231,38 @@ def test_every_kum_key_the_record_accepts_gets_a_report():
 # KUM class route
 
 
+def class_cokernel(n, a1, a2, x):
+    return theta_report(kum_class_invariants(n, a1, a2, x)).cokernel
+
+
 def test_class_route_golden():
-    assert kum_cokernel_from_class(2, 1, 3, 0).invariant_factors == (3, 3)
-    assert kum_cokernel_from_class(2, 1, 1, 0).is_trivial()
-    assert kum_cokernel_from_class(4, 5, 10, 1).invariant_factors == (5, 5, 5, 5)
-    assert kum_cokernel_from_class(3, 2, 4, 1).invariant_factors == (2, 2, 4, 4)
+    assert class_cokernel(2, 1, 3, 0).invariant_factors == (3, 3)
+    assert class_cokernel(2, 1, 1, 0).is_trivial()
+    assert class_cokernel(4, 5, 10, 1).invariant_factors == (5, 5, 5, 5)
+    assert class_cokernel(3, 2, 4, 1).invariant_factors == (2, 2, 4, 4)
 
 
 def test_class_route_matches_enumeration():
-    coker = kum_cokernel_from_class(4, 5, 10, 1)
+    coker = class_cokernel(4, 5, 10, 1)
     assert coker == brute_cokernel(standard_kum_pairing(4, 5, 5))
+
+
+def test_class_formula_is_the_div0_m_of_the_class_key():
+    # b_i = gcd(n+1, a_i) equals kum_div0_m's (div0, m) at the class's key
+    # (gcd(2(n+1), a1), 2*a1*a2), with the gcds taken here, for every class with
+    # n <= 40, a1 | a2 <= 200 and x in {0, 1}
+    checked = 0
+    for n in range(2, 41):
+        for a1 in range(1, 201):
+            div, b1 = math.gcd(2 * (n + 1), a1), math.gcd(n + 1, a1)
+            for a2 in range(a1, 201, a1):
+                b = (b1, math.gcd(n + 1, a2))
+                assert kum_div0_m(n, div, 2 * a1 * a2) == b, (n, a1, a2)
+                for x in (0, 1) if a1 == 1 else (1,):
+                    inv = kum_class_invariants(n, a1, a2, x)
+                    assert (inv.family, inv.div, inv.q, inv.n) == (Family.KUM, div, 2 * a1 * a2, n)
+                    checked += 1
+    assert checked == 39 * (200 + sum(200 // a1 for a1 in range(1, 201)))
 
 
 def test_class_invariants():
@@ -254,13 +274,13 @@ def test_class_invariants():
 
 def test_class_route_validation():
     with pytest.raises(ValueError):
-        kum_cokernel_from_class(2, 3, 4, 1)  # a1 does not divide a2
+        kum_class_invariants(2, 3, 4, 1)  # a1 does not divide a2
     with pytest.raises(ValueError):
-        kum_cokernel_from_class(2, 2, 4, 0)  # gcd(a1, x) = 2
+        kum_class_invariants(2, 2, 4, 0)  # gcd(a1, x) = 2
     with pytest.raises(ValueError):
-        kum_cokernel_from_class(2, 0, 0, 1)
+        kum_class_invariants(2, 0, 0, 1)
     with pytest.raises(ValueError):
-        kum_cokernel_from_class(1, 1, 1, 0)
+        kum_class_invariants(1, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
