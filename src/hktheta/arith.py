@@ -13,9 +13,9 @@ import operator
 
 
 class Record:
-    """Immutable value type in place of a frozen dataclass: a subclass lists its
-    fields in __slots__ and sets them in its own __init__ (object.__setattr__ or
-    _set).  Equality, hash, repr and _asdict read _fields (by default every slot);
+    """Immutable value type in place of a frozen dataclass: a subclass lists its fields
+    in __slots__ and, if callers build it, sets them in its own __init__ (object.__setattr__
+    or _set).  Equality, hash, repr and _asdict read _fields (by default every slot);
     records of different classes are never equal; assignment and del raise.
 
     `_make(*values)` builds a record without its __init__, for values the package

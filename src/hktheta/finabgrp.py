@@ -81,7 +81,9 @@ MAX_ENTRY_DIGITS = 1000  # per side of "a/b"; int() never reads a longer one
 def _parse_fraction(text: str) -> tuple[int, int]:
     """The integers (a, b) of "a/b", or (a, 1) for a bare integer "a"."""
     a, slash, b = text.strip().partition("/")
-    if len(a) > MAX_ENTRY_DIGITS or len(b) > MAX_ENTRY_DIGITS:
+    # a sign and spaces are no digits; only a side longer than the limit is stripped to count
+    if (len(a) > MAX_ENTRY_DIGITS or len(b) > MAX_ENTRY_DIGITS) and max(
+            len(a.strip().lstrip("+-")), len(b.strip().lstrip("+-"))) > MAX_ENTRY_DIGITS:
         raise ValueError(f"fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} "
                          f"digits per side")
     return int(a), int(b) if slash else 1
@@ -509,6 +511,10 @@ def _order_literal(text: str) -> int:
     return int(text)
 
 
+def _not_an_entry(s):
+    raise ValueError(f'malformed pairing document: entry {s!r} is not an "a/b" string')
+
+
 def pairing_from_dict(obj) -> Pairing:
     """Inverse of pairing_to_dict; malformed documents, and documents of rank
     above MAX_PAIRING_RANK or exponent above 2^MAX_EXPONENT_BITS, raise
@@ -526,9 +532,9 @@ def pairing_from_dict(obj) -> Pairing:
         group = FinAbGroup(orders)
         if (n := group.exponent).bit_length() > MAX_EXPONENT_BITS:
             raise ValueError(_EXPONENT_ERROR)
-        memo = {}  # entry text -> units; a non-str entry raises in _parse_fraction
-        units = [[memo[s] if type(s) is str and s in memo
-                  else memo.setdefault(s, _units(*_parse_fraction(s), n)) for s in row]
+        memo = {}  # entry text -> units
+        units = [[(memo[s] if s in memo else memo.setdefault(s, _units(*_parse_fraction(s), n)))
+                  if type(s) is str else _not_an_entry(s) for s in row]
                  for row in _square(obj["matrix"], len(orders))]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc

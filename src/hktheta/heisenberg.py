@@ -77,7 +77,7 @@ def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
     j, t, s = a.x.group, a.scalar, b.scalar
     if j != b.x.group:
         raise ValueError("elements have different types d")
-    m = math.lcm(*j.orders, t.den, s.den)
+    m = math.lcm(j.exponent, t.den, s.den)
     phase = t.num * (m // t.den) + s.num * (m // s.den)
     phase += _char_units(b.f.coords, a.x.coords, j.orders, m)
     # sums of validated coordinates, reduced mod the orders, need no second check
@@ -88,7 +88,7 @@ def h_mul(a: HeisElem, b: HeisElem) -> HeisElem:
 
 def h_inv(a: HeisElem) -> HeisElem:
     j, t = a.x.group, a.scalar
-    m = math.lcm(*j.orders, t.den)
+    m = math.lcm(j.exponent, t.den)
     phase = _char_units(a.f.coords, a.x.coords, j.orders, m) - t.num * (m // t.den)
     x = tuple([-u % o for u, o in zip(a.x.coords, j.orders)])
     f = tuple([-u % o for u, o in zip(a.f.coords, j.orders)])

@@ -191,15 +191,10 @@ def riemann_roch(inv: LineBundleInvariants) -> int:
 
 
 class ThetaReport(Record):
-    """Aggregate answer: cokernel, Heisenberg verdict, and section data."""
+    """Aggregate answer: cokernel, Heisenberg verdict, section data; built only by theta_report."""
 
     __slots__ = ("invariants", "div0", "m", "cokernel", "is_heisenberg", "h0",
                  "schrodinger_multiplicity")
-
-    def __init__(self, invariants: LineBundleInvariants, div0: int | None, m: int | None,
-                 cokernel: AbGroupStructure, is_heisenberg: bool, h0: int | None,
-                 schrodinger_multiplicity: int | None):
-        self._set(invariants, div0, m, cokernel, is_heisenberg, h0, schrodinger_multiplicity)
 
 
 def theta_report(inv: LineBundleInvariants) -> ThetaReport:

@@ -75,8 +75,14 @@ def pairing_from_dict_by_qmodz(obj) -> Pairing:
     went straight into integer pairs.  The steps added to that route are
     made before any entry is read: the order checks (type, FinAbGroup, then
     its exponent against MAX_EXPONENT_BITS) and the shape check, `rank` lists
-    of `rank` entries, where strings and dicts are not rows.
+    of `rank` entries, where strings and dicts are not rows; an entry that is
+    not a string is refused by name when its turn comes.
     """
+    def parse(s):
+        if type(s) is not str:
+            raise ValueError(f'malformed pairing document: entry {s!r} is not an "a/b" string')
+        return QmodZ.parse(s)
+
     try:
         orders = tuple(obj["orders"])
         r = len(orders)
@@ -93,7 +99,7 @@ def pairing_from_dict_by_qmodz(obj) -> Pairing:
         if not isinstance(rows, (list, tuple)) or len(rows) != r or any(
                 not isinstance(row, (list, tuple)) or len(row) != r for row in rows):
             raise ValueError("pairing matrix must be rank x rank")
-        matrix = tuple(tuple(QmodZ.parse(s) for s in row) for row in rows)
+        matrix = tuple(tuple(map(parse, row)) for row in rows)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed pairing document: {exc!r}") from exc
     return Pairing(group, matrix)

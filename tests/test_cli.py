@@ -230,6 +230,8 @@ def test_kummer_route_conflicts(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "kummer", "--n", "2", "--div", "1")
     assert code == 2 and "both" in err
+    code, _, err = run_cli(capsys, "kummer", "--n", "2", "--a1", "1")
+    assert code == 2 and err.endswith("error: the class route needs --a1, --a2 and --x\n")
 
 
 def test_kummer_domain_error(capsys):
@@ -451,6 +453,14 @@ def test_pairing_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pairing", "nondeg", "--file", str(overflowing))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
     assert "order inf is not an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [0, None, 1.5, True, ["1/2"]], ids=repr)
+def test_pairing_document_entry_that_is_no_string_is_named(capsys, tmp_path, entry):
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps({"orders": [2, 2], "matrix": [["0/1", entry], ["1/2", "0/1"]]}))
+    line = f'error: malformed pairing document: entry {entry!r} is not an "a/b" string\n'
+    assert run_cli(capsys, "pairing", "cokernel", "--file", str(path)) == (1, "", line)
 
 
 def test_pairing_rank_limit(capsys, tmp_path):

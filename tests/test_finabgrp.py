@@ -218,6 +218,8 @@ def test_pairing_rejects_bad_matrices():
         Pairing(g, ((zero, third), (-third, zero)))
     with pytest.raises(ValueError):  # wrong shape
         Pairing(g, ((zero, half),))
+    with pytest.raises(ValueError, match="^pairing entries must be QmodZ$"):  # ints, not QmodZ
+        Pairing(g, ((0, 0), (0, 0)))
 
 
 @st.composite
@@ -980,9 +982,24 @@ def test_fraction_sides_are_bounded_before_int_runs():
     side = "9" * MAX_ENTRY_DIGITS
     assert QmodZ.parse(f"{side}/10") == QmodZ(9, 10)
     assert QmodZ.parse(f" -1/{side} ") == QmodZ(int(side) - 1, int(side))
-    for text in (f"9{side}/10", f"1/9{side}", f"9{side}", "1" * 5000):
+    # a sign and spaces are no digits, as for the CLI's integers
+    assert QmodZ.parse(f"-{side}/10") == QmodZ(1, 10)
+    assert QmodZ.parse(f"  +{side} / -{side}  ") == QmodZ(0, 1)
+    assert pairing_from_dict({"orders": [10, 10], "matrix": [["0/1", f" -{side}/10 "],
+                                                             [f"{side}/10", "0/1"]]}) == \
+        pairing_from_dict({"orders": [10, 10], "matrix": [["0/1", "1/10"], ["9/10", "0/1"]]})
+    for text in (f"9{side}/10", f"1/9{side}", f"9{side}", "1" * 5000, f"-9{side}/10",
+                 f" 1 / -9{side} ", f"1/{side} 9"):
         with pytest.raises(ValueError, match=f"MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"):
             QmodZ.parse(text)
+
+
+@pytest.mark.parametrize("entry", [0, None, 1.5, True, ["1/2"]], ids=repr)
+def test_pairing_document_entry_that_is_no_string_is_named(entry):
+    doc = {"orders": [2, 2], "matrix": [["0/1", entry], ["1/2", "0/1"]]}
+    line = f'malformed pairing document: entry {entry!r} is not an "a/b" string'
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        pairing_from_dict(doc)
 
 
 def test_pairing_document_malformed():

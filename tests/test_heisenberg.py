@@ -437,6 +437,12 @@ def test_integer_helpers_refuse_a_non_integer(build, bad):
         build()
 
 
+@pytest.mark.parametrize("helper", [factorint, divisors], ids=lambda f: f.__name__)
+def test_trial_division_helpers_refuse_zero(helper):
+    with pytest.raises(ValueError, match=f"^{helper.__name__} requires a positive integer$"):
+        helper(0)
+
+
 _J2 = FinAbGroup((2,))
 
 

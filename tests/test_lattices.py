@@ -54,6 +54,8 @@ def test_lattice_validation():
         GramLattice("bad", ((1, 1), (1, 1)), ("a", "b"))  # degenerate
     with pytest.raises(ValueError):
         GramLattice("bad", ((2,),), ("a", "b"))  # basis length mismatch
+    with pytest.raises(ValueError, match="^gram matrix must be square and nonempty$"):
+        GramLattice("x", (), ())
 
 
 @pytest.mark.parametrize(
