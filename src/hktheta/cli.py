@@ -36,6 +36,7 @@ from .finabgrp import (
     QmodZ,
     _order_literal,
     _reduced,
+    _too_long,
     brute_cokernel,
     pairing_cokernel,
     pairing_from_dict,
@@ -83,7 +84,7 @@ def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
     if name == "og6":
         return _OG6, None
     if name.startswith("kum:"):
-        if len(name[4:].strip().lstrip("+-")) > MAX_ENTRY_DIGITS:  # before int() reads it
+        if _too_long(name[4:]):  # before int() reads it
             raise ValueError(f"bad lattice name {_quoted(name)}: {_DIGITS_ERROR}")
         try:
             n = int(name[4:])
@@ -95,7 +96,7 @@ def _parse_lattice(name: str) -> tuple[GramLattice, int | None]:
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if any(len(p.lstrip("+-")) > MAX_ENTRY_DIGITS for p in parts):  # before int() reads it
+    if any(map(_too_long, parts)):  # before int() reads it
         raise ValueError(f"bad {what} {_quoted(text)}: {_DIGITS_ERROR}")
     try:
         return tuple(int(p) for p in parts)

@@ -78,12 +78,17 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 MAX_ENTRY_DIGITS = 1000  # per side of "a/b"; int() never reads a longer one
 
 
+def _too_long(text: str) -> bool:
+    """More than MAX_ENTRY_DIGITS digits in an integer literal: spaces, a sign and int()'s
+    underscore separators are none; only a text longer than the limit is stripped to count."""
+    return len(text) > MAX_ENTRY_DIGITS and len(
+        text.strip().lstrip("+-").replace("_", "")) > MAX_ENTRY_DIGITS
+
+
 def _parse_fraction(text: str) -> tuple[int, int]:
     """The integers (a, b) of "a/b", or (a, 1) for a bare integer "a"."""
     a, slash, b = text.strip().partition("/")
-    # a sign and spaces are no digits; only a side longer than the limit is stripped to count
-    if (len(a) > MAX_ENTRY_DIGITS or len(b) > MAX_ENTRY_DIGITS) and max(
-            len(a.strip().lstrip("+-")), len(b.strip().lstrip("+-"))) > MAX_ENTRY_DIGITS:
+    if _too_long(a) or _too_long(b):
         raise ValueError(f"fraction exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} "
                          f"digits per side")
     return int(a), int(b) if slash else 1

@@ -133,6 +133,8 @@ class GenPermMatrix(Record):
 
     Column y holds exp(2 pi i phases[y] / modulus) in row perm[y] and zeros
     elsewhere; construction reduces the int phases to the least modulus.
+    `_composed` builds a matrix whose perm the package composed from checked
+    ones (schrodinger_matrix, gpm_mul, gpm_inv): it reduces the phases only.
     """
 
     __slots__ = ("dim", "perm", "phases", "modulus")
@@ -144,9 +146,17 @@ class GenPermMatrix(Record):
             raise ValueError("perm must be a bijection on 0..dim-1")
         if modulus < 1:
             raise ValueError("phase modulus must be positive")
+        self._fill(dim, perm, phases, modulus)
+
+    @classmethod
+    def _composed(cls, dim, perm, phases, modulus) -> "GenPermMatrix":
+        return object.__new__(cls)._fill(dim, perm, phases, modulus)
+
+    def _fill(self, dim, perm, phases, modulus):
         g = math.gcd(modulus, *phases)
         m = modulus // g
         self._set(dim, perm, tuple([p // g % m for p in phases]), m)
+        return self
 
 
 def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:
@@ -157,7 +167,7 @@ def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:
     ka, kb, aperm, aphases = m // a.modulus, m // b.modulus, a.perm, a.phases
     perm = tuple([aperm[r] for r in b.perm])
     phases = [kb * p + ka * aphases[r] for p, r in zip(b.phases, b.perm)]
-    return GenPermMatrix(a.dim, perm, phases, m)
+    return GenPermMatrix._composed(a.dim, perm, phases, m)
 
 
 def gpm_inv(a: GenPermMatrix) -> GenPermMatrix:
@@ -165,7 +175,7 @@ def gpm_inv(a: GenPermMatrix) -> GenPermMatrix:
     for y, row in enumerate(a.perm):
         iperm[row] = y
     phases = [-a.phases[col] for col in iperm]
-    return GenPermMatrix(a.dim, tuple(iperm), phases, a.modulus)
+    return GenPermMatrix._composed(a.dim, tuple(iperm), phases, a.modulus)
 
 
 def gpm_scalar_phase(a: GenPermMatrix) -> QmodZ:
@@ -198,7 +208,7 @@ def schrodinger_matrix(a: HeisElem) -> GenPermMatrix:
         rows = [r + w * stride for w in ws for r in rows]
         phases = [p + w * step for w in ws for p in phases]
         stride *= di
-    return GenPermMatrix(dim, tuple(rows), phases, m)
+    return GenPermMatrix._composed(dim, tuple(rows), phases, m)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

@@ -16,7 +16,9 @@ cokernel is trivial.  Each key's rule home refuses it (a non-integer too) or ret
 what its closed form needs, and every entry point calls it: kum_div0_m (KUM (div, q)),
 kum_class_invariants (KUM class, whose formula b_i = gcd(n+1, a_i) it checks against
 kum_div0_m), og6_cokernel (OG6), rank4_a (RANK4's e; the record keeps the n rules and
-RANK4's div).  Independent routes: KUM's criterion, checked by theta_report; OG6's
+RANK4's div).  The cokernels' cyclic orders are gcds the rule homes computed or constants,
+so they go straight to finabgrp's cached chain core, not through from_cyclic_orders'
+validation.  Independent routes: KUM's criterion, checked by theta_report; OG6's
 model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
 """
 
@@ -26,7 +28,7 @@ import math
 from enum import Enum
 
 from .arith import Record, int_tuple
-from .finabgrp import AbGroupStructure
+from .finabgrp import AbGroupStructure, _structure_from_cyclic_orders
 
 __all__ = [
     "Family",
@@ -96,7 +98,7 @@ def kum_div0_m(n: int | None, div: int, q: int) -> tuple[int, int]:
 def kum_cokernel(n: int, div: int, q: int) -> AbGroupStructure:
     """(Z/div0)^2 + (Z/m)^2 in divisor-chain form, trivial factors dropped."""
     d0, m = kum_div0_m(n, div, q)
-    return AbGroupStructure.from_cyclic_orders((d0, d0, m, m))
+    return _structure_from_cyclic_orders((d0, d0, m, m))
 
 
 def kum_is_heisenberg(n: int, div: int, q: int) -> bool:
@@ -138,7 +140,7 @@ def og6_cokernel(div: int, q: int) -> AbGroupStructure:
         raise ValueError("the square q is always even; odd input rejected")
     if div == 2 and q % 8 not in (4, 6):
         raise ValueError("OG6 divisibility 2 forces q = -2 or -4 mod 8")
-    return AbGroupStructure.from_cyclic_orders((2,) * (8 if div == 2 else 0 if q % 4 else 4))
+    return _structure_from_cyclic_orders((2,) * (8 if div == 2 else 0 if q % 4 else 4))
 
 
 def og6_is_heisenberg(div: int, q: int) -> bool:
@@ -157,7 +159,7 @@ def rank4_a(e: int) -> int:
 def rank4_cokernel(e: int) -> AbGroupStructure:
     """Trivial when 3 does not divide e (equivalently a), else (Z/3)^2."""
     rank4_a(e)
-    return AbGroupStructure.from_cyclic_orders((3, 3) if e % 3 == 0 else ())
+    return _structure_from_cyclic_orders((3, 3) if e % 3 == 0 else ())
 
 
 def rank4_is_heisenberg(e: int) -> bool:
@@ -206,7 +208,7 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     div0 = m = None
     if inv.family is Family.KUM:
         div0, m = kum_div0_m(inv.n, inv.div, inv.q)
-        cokernel = AbGroupStructure.from_cyclic_orders((div0, div0, m, m))
+        cokernel = _structure_from_cyclic_orders((div0, div0, m, m))
         if (criterion := kum_is_heisenberg(inv.n, inv.div, inv.q)) != cokernel.is_trivial():
             raise AssertionError(
                 f"Heisenberg criterion and cokernel triviality disagree at (n, div, q) = "

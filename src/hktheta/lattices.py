@@ -10,10 +10,12 @@ integer arithmetic: the pairing v^T.gram.w, the divisibility gcd, orbit
 classification by (square, divisibility, mod-8 residue), and the
 wall-divisor splitting of square -2(n+1), divisibility 2(n+1) classes into
 a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
-gram.v runs over the nonzero Gram entries only (one per row here).  A
-classification (og6_class) or a splitting (kum_orbit_split) validates its
-vector once, reads div and q from one gram.v, and runs its internal checks on
-the tuples it built itself, through gram.v, without validating them again.
+gram.v runs over the nonzero Gram entries only (one per row here).  og6_class and
+is_primitive return nothing built from the vector's entries, so the coordinate gcd
+they need is their integrality check (int_tuple names a non-integer only when it
+fails); kum_orbit_split validates its vector once by int_tuple.  Both og6_class and
+kum_orbit_split read div and q from one gram.v and run their internal checks on the
+tuples they built themselves, through gram.v, without validating them again.
 """
 
 from __future__ import annotations
@@ -133,10 +135,20 @@ def _square(lat: GramLattice, v: tuple[int, ...]) -> int:
     return sum(map(operator.mul, v, _gram_times(lat, v)))
 
 
-def _primitive(v: tuple[int, ...]) -> bool:
-    if not any(v):
+def _content(lat: GramLattice, v) -> tuple[tuple, int]:
+    """v as a tuple and the gcd of its entries.  Refused, in this order: a non-integer
+    (named by int_tuple only once math.gcd has failed), a length other than lat.rank, zero."""
+    v = tuple(v)
+    try:
+        g = math.gcd(*v)
+    except TypeError:
+        int_tuple(v)
+        raise
+    if len(v) != lat.rank:
+        raise ValueError(f"vector length {len(v)} does not match rank {lat.rank}")
+    if not g:
         raise ValueError("primitivity is undefined for the zero vector")
-    return math.gcd(*v) == 1
+    return v, g
 
 
 def bbf_pair(lat: GramLattice, v, w) -> int:
@@ -157,7 +169,7 @@ def divisibility(lat: GramLattice, v) -> int:
 
 def is_primitive(lat: GramLattice, v) -> bool:
     """True iff the gcd of the coordinates is 1.  The zero vector is rejected."""
-    return _primitive(_as_vector(lat, v))
+    return _content(lat, v)[1] == 1
 
 
 class OG6Class(Enum):
@@ -178,8 +190,8 @@ def og6_class(v) -> OG6Class:
     giving II and III respectively.  Any other combination is impossible for
     primitive vectors, hence an internal assertion failure.
     """
-    v = _as_vector(_OG6, v)
-    if not _primitive(v):
+    v, g = _content(_OG6, v)
+    if g != 1:
         raise ValueError("orbit class is defined for primitive vectors only")
     gv = _gram_times(_OG6, v)
     div = math.gcd(*gv)
@@ -235,7 +247,7 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     """
     lat = _kum_lattice(n)
     v = _as_vector(lat, alpha)
-    if not _primitive(v):
+    if _content(lat, v)[1] != 1:
         raise ValueError("orbit splitting requires a primitive vector")
     two_n1 = 2 * (n + 1)
     gv = _gram_times(lat, v)

@@ -39,7 +39,7 @@ from .invariants import (
     rank4_a,
     theta_report,
 )
-from .lattices import kum_orbit_split, kum_split_candidates, og6_class
+from .lattices import OG6Class, kum_orbit_split, kum_split_candidates, og6_class
 
 
 class SweepResult(Record):
@@ -260,6 +260,9 @@ def sweep_orbit_split():
                 yield (n + 1) % 4 == 0 and not kum_split_candidates(n, x0)
 
 
+_OG6_DIV2_CLASS = {6: OG6Class.II, 4: OG6Class.III}  # by the square mod 8
+
+
 @_sweep("og6 trichotomy")
 def sweep_og6_trichotomy():
     """Random primitive vectors land in exactly one class, with div in {1,2}:
@@ -285,8 +288,8 @@ def sweep_og6_trichotomy():
         e1, f1, e2, f2, e3, f3, g1, g2 = v
         div = math.gcd(e1, f1, e2, f2, e3, f3, 2 * g1, 2 * g2)
         q = 2 * (e1 * f1 + e2 * f2 + e3 * f3 - g1 * g1 - g2 * g2)
-        expected = "I" if div == 1 else {6: "II", 4: "III"}.get(q % 8) if div == 2 else None
-        yield expected is not None and og6_class(v).value == expected
+        expected = OG6Class.I if div == 1 else _OG6_DIV2_CLASS.get(q % 8) if div == 2 else None
+        yield og6_class(v) is expected
 
 
 SWEEPS = (

@@ -655,6 +655,7 @@ def test_oversized_inputs_give_one_short_line(capsys, argv, reason):
 
 
 _DIGITS_LINE = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits\n"
+_SEPARATED = "_".join("9" * MAX_ENTRY_DIGITS)  # 1,000 digits with int()'s underscores
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -664,6 +665,14 @@ _DIGITS_LINE = f"integer exceeds the limit MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS}
     (["heisenberg", "commutator", "--d=2", "--a=0;(1);(0)", f"--b=0;(0);({_LONG})"],
      "component"),
     (["lattice", "div", f"--lattice=kum:{_LONG}", "--vector=1,0,0,0,0,0,0"], "lattice name"),
+    # 1,001 digits, however many underscores separate them
+    (["lattice", "q", "--lattice=og6", f"--vector=0,9_{_SEPARATED},0,0,0,0,0,0"], "vector"),
+    (["heisenberg", "commutator", f"--d={_SEPARATED}9", "--a=0;(1);(0)", "--b=0;(0);(1)"],
+     "type d"),
+    (["heisenberg", "commutator", "--d=2", "--a=0;(1);(0)", f"--b=0;(0);(-9_{_SEPARATED})"],
+     "component"),
+    (["lattice", "div", f"--lattice=kum:{_SEPARATED}_9", "--vector=1,0,0,0,0,0,0"],
+     "lattice name"),
 ])
 def test_integers_past_the_digit_limit_are_refused_by_name(capsys, argv, what):
     # one of more than 4,300 digits was reported as malformed, by CPython's own limit
@@ -673,12 +682,17 @@ def test_integers_past_the_digit_limit_are_refused_by_name(capsys, argv, what):
 
 
 def test_integers_at_the_digit_limit_answer(capsys):
-    big = "9" * MAX_ENTRY_DIGITS
-    vector = f"-{big},1,0,0,0,0,0,0"
-    assert run_cli(capsys, "lattice", "q", "--lattice=og6", f"--vector={vector}") == (
-        0, f"{-2 * int(big)}\n", "")
-    assert run_cli(capsys, "lattice", "div", f"--lattice=kum:{big}",
-                   "--vector=1,0,0,0,0,0,0") == (0, "1\n", "")
+    # 1,000 digits are read, also with underscores between them; "1_" * 600 + "1"
+    # (601 digits) was refused as past the limit
+    for big in ("9" * MAX_ENTRY_DIGITS, _SEPARATED):
+        vector = f"-{big},1,0,0,0,0,0,0"
+        assert run_cli(capsys, "lattice", "q", "--lattice=og6", f"--vector={vector}") == (
+            0, f"{-2 * int(big)}\n", "")
+        assert run_cli(capsys, "lattice", "div", f"--lattice=kum:{big}",
+                       "--vector=1,0,0,0,0,0,0") == (0, "1\n", "")
+    assert run_cli(capsys, "lattice", "class", "--lattice=og6",
+                   "--vector=" + "1_" * 600 + "1,0,0,0,0,0,0,0") == (
+        1, "", "error: orbit class is defined for primitive vectors only\n")
 
 
 def test_schrodinger_matrix(capsys):
@@ -1620,10 +1634,11 @@ def test_source_has_no_assert_statements():
 
 
 def test_the_cli_builds_no_trusted_values():
-    # Record._make and snf._smith skip validation, for values the package
-    # computed itself: whatever the CLI reads from argv or a document must pass a
-    # validating constructor, so cli.py names neither
-    trusted = {"_make", "_smith"}
+    # Record._make, snf._smith, finabgrp._structure_from_cyclic_orders and
+    # GenPermMatrix._composed skip validation, for values the package computed
+    # itself: whatever the CLI reads from argv or a document must pass a
+    # validating constructor, so cli.py names none of them
+    trusted = {"_make", "_smith", "_structure_from_cyclic_orders", "_composed"}
 
     def names(path):
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))

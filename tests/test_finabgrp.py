@@ -988,8 +988,14 @@ def test_fraction_sides_are_bounded_before_int_runs():
     assert pairing_from_dict({"orders": [10, 10], "matrix": [["0/1", f" -{side}/10 "],
                                                              [f"{side}/10", "0/1"]]}) == \
         pairing_from_dict({"orders": [10, 10], "matrix": [["0/1", "1/10"], ["9/10", "0/1"]]})
+    # int() reads "1_0" as 10: underscores are no digits either
+    separated = "_".join(side)
+    assert QmodZ.parse(f"{separated}/10") == QmodZ(9, 10)
+    assert QmodZ.parse(f" -1/+{separated} ") == QmodZ(int(side) - 1, int(side))
+    assert QmodZ.parse("1_" * 600 + "1/7") == QmodZ(int("1" * 601), 7)
     for text in (f"9{side}/10", f"1/9{side}", f"9{side}", "1" * 5000, f"-9{side}/10",
-                 f" 1 / -9{side} ", f"1/{side} 9"):
+                 f" 1 / -9{side} ", f"1/{side} 9", f"9_{separated}/10", f"1/{separated}9",
+                 f"-{separated}_9"):
         with pytest.raises(ValueError, match=f"MAX_ENTRY_DIGITS = {MAX_ENTRY_DIGITS} digits"):
             QmodZ.parse(text)
 

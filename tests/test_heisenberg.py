@@ -235,6 +235,35 @@ def test_gpm_validation():
         gpm_mul(gpm_identity(2), gpm_identity(3))
 
 
+@st.composite
+def _gpm_parts(draw):
+    """Two (dim, perm, phases, modulus) of one dim that a validating build accepts,
+    their phases unreduced."""
+    dim = draw(st.integers(1, 12))
+
+    def parts():
+        return (dim, tuple(draw(st.permutations(range(dim)))),
+                draw(st.lists(st.integers(-60, 60), min_size=dim, max_size=dim)),
+                draw(st.integers(1, 60)))
+
+    return parts(), parts()
+
+
+@given(_gpm_parts(), _typed_pair())
+def test_trusted_schrodinger_builds_equal_validated_builds(parts, pair):
+    # schrodinger_matrix, gpm_mul and gpm_inv build through GenPermMatrix._composed,
+    # which skips the length, bijection and modulus checks but keeps the phase
+    # reduction: each matrix must equal, and hash as, the validating build of its parts
+    a, b = (GenPermMatrix(*p) for p in parts)
+    trusted = GenPermMatrix._composed(*parts[0])
+    assert trusted == a and hash(trusted) == hash(a) and repr(trusted) == repr(a)
+    _, x, y = pair
+    for got in (gpm_mul(a, b), gpm_inv(a), schrodinger_matrix(x), schrodinger_matrix(h_mul(x, y)),
+                gpm_mul(schrodinger_matrix(x), gpm_inv(schrodinger_matrix(y)))):
+        want = GenPermMatrix(got.dim, got.perm, got.phases, got.modulus)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
 def test_gpm_algebra():
     rng = random.Random(23)
     for _ in range(200):

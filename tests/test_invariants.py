@@ -446,6 +446,30 @@ def test_og6_and_rank4_reports_build_no_record(monkeypatch, inv):
     assert rep.is_heisenberg == rep.cokernel.is_trivial()
 
 
+def test_closed_form_cokernels_are_the_cached_structures():
+    # the closed forms hand their orders to finabgrp's cached chain core without
+    # from_cyclic_orders' validation: each returns the very object from_cyclic_orders
+    # returns for the same orders, and so does theta_report
+    structure = AbGroupStructure.from_cyclic_orders
+    for n in range(2, 12):
+        for div in divisors(2 * (n + 1)):
+            step = 2 * kum_div0_m(n, div, 0)[0]
+            for q in range(-6 * step, 7 * step, step):
+                d0, m = kum_div0_m(n, div, q)
+                want = structure((d0, d0, m, m))
+                assert kum_cokernel(n, div, q) is want
+                assert theta_report(kum_inv(n, div, q)).cokernel is want
+    for div, q in [(1, q) for q in range(-40, 41, 2)] + [(2, q) for q in range(-44, 45, 2)
+                                                         if q % 8 in (4, 6)]:
+        want = structure((2,) * (8 if div == 2 else 0 if q % 4 else 4))
+        assert og6_cokernel(div, q) is want
+        assert theta_report(og6_inv(div, q)).cokernel is want
+    for e in range(10, 16 * 40, 16):
+        want = structure((3, 3) if e % 3 == 0 else ())
+        assert rank4_cokernel(e) is want
+        assert theta_report(rank4_inv(e)).cokernel is want
+
+
 def test_og6_and_rank4_verdicts_are_the_cokernels_triviality(monkeypatch):
     # the verdicts hold no predicate of their own: a planted cokernel decides them
     assert og6_is_heisenberg(1, 2) and rank4_is_heisenberg(10)

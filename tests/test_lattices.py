@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -108,6 +109,55 @@ def test_is_primitive():
     assert not is_primitive(KUM2, (2, 2, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
         is_primitive(KUM2, (0,) * 7)
+
+
+# a refused vector and its one-line message; the refusals come in this order:
+# a non-integer (wherever it stands, and before the length), the length, zero, imprimitive
+_REFUSED_OG6_VECTORS = [
+    ((1.5,) + (0,) * 7, "expected an integer, got 1.5"),
+    ((1, "1") + (0,) * 6, "expected an integer, got '1'"),
+    ((0,) * 7 + (Fraction(1),), "expected an integer, got Fraction(1, 1)"),
+    ((2, 0, 0, None, 0, 0, 0, 0), "expected an integer, got None"),
+    ((2, None), "expected an integer, got None"),
+    ((0, 2.0, Fraction(1, 2)), "expected an integer, got 2.0"),
+    ((1,) * 7, "vector length 7 does not match rank 8"),
+    ((2, 4, 0), "vector length 3 does not match rank 8"),
+    ((0,) * 9, "vector length 9 does not match rank 8"),
+    ((), "vector length 0 does not match rank 8"),
+    ((0,) * 8, "primitivity is undefined for the zero vector"),
+    ((2, 4) + (0,) * 6, "orbit class is defined for primitive vectors only"),
+]
+
+
+@pytest.mark.parametrize("v, message", _REFUSED_OG6_VECTORS, ids=repr)
+def test_deferred_integrality_check_keeps_each_refusal(v, message):
+    # og6_class and is_primitive check integrality through the coordinate gcd and name
+    # a non-integer only when it fails: each refusal keeps its message and its order
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        og6_class(v)
+    if message.startswith("orbit class"):
+        assert is_primitive(OG6, v) is False
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        is_primitive(OG6, v)
+    if len(v) == 8:  # on a rank-7 lattice a non-integer still comes before the length
+        if not message.startswith("expected"):
+            message = "vector length 8 does not match rank 7"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            is_primitive(KUM2, v)
+
+
+def test_og6_class_and_is_primitive_name_no_valid_vector(monkeypatch):
+    # int_tuple runs only to name a non-integer that math.gcd refused
+    named = []
+    monkeypatch.setattr(lattices, "int_tuple", lambda v: named.append(v) or (0,))
+    for v in (og6_vec(e1=1), og6_vec(g1=1), og6_vec(g1=1, g2=1), [2, 2, 0, 0, 0, 0, 1, 0]):
+        og6_class(v)
+        assert is_primitive(OG6, v)
+    assert named == []
+    with pytest.raises(TypeError):
+        og6_class((0.5,) + (0,) * 7)
+    assert named == [(0.5,) + (0,) * 7]
 
 
 kum_vectors = st.tuples(*([st.integers(-25, 25)] * 7))
