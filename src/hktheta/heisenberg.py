@@ -128,13 +128,20 @@ def heis_pairing(d) -> Pairing:
     return Pairing(group, matrix)
 
 
+def _least_phases(phases, modulus: int) -> tuple[tuple[int, ...], int]:
+    """The phases p/modulus over the least modulus they need, each reduced mod it."""
+    g = math.gcd(modulus, *phases)
+    m = modulus // g
+    return tuple([p // g % m for p in phases]), m
+
+
 class GenPermMatrix(Record):
     """Matrix with exactly one root-of-unity entry per column.
 
     Column y holds exp(2 pi i phases[y] / modulus) in row perm[y] and zeros
     elsewhere; construction reduces the int phases to the least modulus.
-    `_composed` builds a matrix whose perm the package composed from checked
-    ones (schrodinger_matrix, gpm_mul, gpm_inv): it reduces the phases only.
+    schrodinger_matrix, gpm_mul and gpm_inv compose perms from checked ones, so
+    they build through _make(dim, perm, *_least_phases(phases, modulus)), unchecked.
     """
 
     __slots__ = ("dim", "perm", "phases", "modulus")
@@ -146,17 +153,7 @@ class GenPermMatrix(Record):
             raise ValueError("perm must be a bijection on 0..dim-1")
         if modulus < 1:
             raise ValueError("phase modulus must be positive")
-        self._fill(dim, perm, phases, modulus)
-
-    @classmethod
-    def _composed(cls, dim, perm, phases, modulus) -> "GenPermMatrix":
-        return object.__new__(cls)._fill(dim, perm, phases, modulus)
-
-    def _fill(self, dim, perm, phases, modulus):
-        g = math.gcd(modulus, *phases)
-        m = modulus // g
-        self._set(dim, perm, tuple([p // g % m for p in phases]), m)
-        return self
+        self._set(dim, perm, *_least_phases(phases, modulus))
 
 
 def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:
@@ -167,7 +164,7 @@ def gpm_mul(a: GenPermMatrix, b: GenPermMatrix) -> GenPermMatrix:
     ka, kb, aperm, aphases = m // a.modulus, m // b.modulus, a.perm, a.phases
     perm = tuple([aperm[r] for r in b.perm])
     phases = [kb * p + ka * aphases[r] for p, r in zip(b.phases, b.perm)]
-    return GenPermMatrix._composed(a.dim, perm, phases, m)
+    return GenPermMatrix._make(a.dim, perm, *_least_phases(phases, m))
 
 
 def gpm_inv(a: GenPermMatrix) -> GenPermMatrix:
@@ -175,7 +172,7 @@ def gpm_inv(a: GenPermMatrix) -> GenPermMatrix:
     for y, row in enumerate(a.perm):
         iperm[row] = y
     phases = [-a.phases[col] for col in iperm]
-    return GenPermMatrix._composed(a.dim, tuple(iperm), phases, a.modulus)
+    return GenPermMatrix._make(a.dim, tuple(iperm), *_least_phases(phases, a.modulus))
 
 
 def gpm_scalar_phase(a: GenPermMatrix) -> QmodZ:
@@ -208,7 +205,7 @@ def schrodinger_matrix(a: HeisElem) -> GenPermMatrix:
         rows = [r + w * stride for w in ws for r in rows]
         phases = [p + w * step for w in ws for p in phases]
         stride *= di
-    return GenPermMatrix._composed(dim, tuple(rows), phases, m)
+    return GenPermMatrix._make(dim, tuple(rows), *_least_phases(phases, m))
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

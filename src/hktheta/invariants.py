@@ -13,13 +13,14 @@ at n = 24 the key (div, q) = (5, 50) has the cokernels [5, 5, 5, 5] and
 (Z/2)^4, or (Z/2)^8 according to (div, q mod 4).  For RANK4 it is trivial
 or (Z/3)^2 according to 3 | e.  The theta group is Heisenberg exactly when the
 cokernel is trivial.  Each key's rule home refuses it (a non-integer too) or returns
-what its closed form needs, and every entry point calls it: kum_div0_m (KUM (div, q)),
-kum_class_invariants (KUM class, whose formula b_i = gcd(n+1, a_i) it checks against
-kum_div0_m), og6_cokernel (OG6), rank4_a (RANK4's e; the record keeps the n rules and
-RANK4's div).  The cokernels' cyclic orders are gcds the rule homes computed or constants,
-so they go straight to finabgrp's cached chain core, not through from_cyclic_orders'
-validation.  Independent routes: KUM's criterion, checked by theta_report; OG6's
-model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
+what its closed form needs: kum_div0_m (KUM (div, q)), og6_cokernel (OG6), rank4_a
+(RANK4's e), and kum_class_invariants (KUM class: it checks b_i = gcd(n+1, a_i) against
+its record's (div0, m)).  LineBundleInvariants, the one branch on the family, checks the
+n rules and RANK4's div, runs the key's rule home once and keeps what it returned, which
+theta_report and riemann_roch read.  The cokernels' cyclic orders are gcds the rule homes
+computed or constants, so they go straight to finabgrp's cached chain core, not through
+from_cyclic_orders' validation.  Independent routes: KUM's criterion, checked by
+theta_report; OG6's model-pairing and lattice-trichotomy sweeps; none yet for RANK4.
 """
 
 from __future__ import annotations
@@ -56,26 +57,36 @@ class Family(Enum):
 
 
 class LineBundleInvariants(Record):
-    """Invariants (family, div, q, n?) of a primitive class; only the family's rules run."""
+    """Invariants (family, div, q, n?) of a primitive class; only the family's rules run,
+    once.  Slots that equality, hash, repr and _asdict skip keep what they returned: div0
+    and m (KUM, else None), the cokernel, sections (coef, top, k) with h0 = coef*C(top, k),
+    and rep_dim, the Schrodinger dimension.  KUM: (n+1)*C(e+n, n), e = q/2, rep_dim (n+1)^2.
+    OG6: 4*C(e+3, 3), rep_dim 2^4.  RANK4: 3*C(a+2, 2), q = 16a - 6, rep_dim 3^2."""
 
-    __slots__ = ("family", "div", "q", "n")
+    __slots__ = ("family", "div", "q", "n", "div0", "m", "cokernel", "sections", "rep_dim")
+    _fields = ("family", "div", "q", "n")  # the rest is set once and never compared
 
     def __init__(self, family: Family, div: int, q: int, n: int | None = None):
+        div0 = m = None
         if family is Family.KUM:
-            kum_div0_m(n, div, q)
+            div0, m = kum_div0_m(n, div, q)
+            cokernel = _structure_from_cyclic_orders((div0, div0, m, m))
+            sections, rep_dim = (n + 1, q // 2 + n, n), (n + 1) ** 2
         elif family is Family.OG6:
             if n is not None:
                 raise ValueError("OG6 takes no parameter n")
-            og6_cokernel(div, q)
+            cokernel, sections, rep_dim = og6_cokernel(div, q), (4, q // 2 + 3, 3), 16
         elif family is Family.RANK4:
             if n is not None:
                 raise ValueError("RANK4 takes no parameter n")
             if int_tuple((div,)) != (2,):
                 raise ValueError("RANK4 sheaves have divisibility 2")
-            rank4_a(q)  # validates q > 0 and q = -6 mod 16
+            a = rank4_a(q)  # validates q > 0 and q = -6 mod 16
+            cokernel = _structure_from_cyclic_orders((3, 3) if q % 3 == 0 else ())
+            sections, rep_dim = (3, a + 2, 2), 9
         else:
             raise ValueError("family must be a Family member: KUM, OG6 or RANK4")
-        self._set(family, div, q, n)
+        self._set(family, div, q, n, div0, m, cokernel, sections, rep_dim)
 
 
 def kum_div0_m(n: int | None, div: int, q: int) -> tuple[int, int]:
@@ -124,11 +135,11 @@ def kum_class_invariants(n: int, a1: int, a2: int, x: int) -> LineBundleInvarian
     except TypeError:  # math.gcd or an operator met a non-integer: name it
         int_tuple((a1, a2, x))
         raise
-    div, q = math.gcd(2 * (n + 1), a1), 2 * a1 * a2
-    if (div0_m := kum_div0_m(n, div, q)) != b:
+    inv = LineBundleInvariants(Family.KUM, math.gcd(2 * (n + 1), a1), 2 * a1 * a2, n)
+    if (inv.div0, inv.m) != b:
         raise AssertionError(f"class formula and (div, q) route disagree at (n, a1, a2, x) = "
-                             f"{(n, a1, a2, x)}: (b1, b2) = {b}, (div0, m) = {div0_m}")
-    return LineBundleInvariants._make(Family.KUM, div, q, n)
+                             f"{(n, a1, a2, x)}: (b1, b2) = {b}, (div0, m) = {inv.div0, inv.m}")
+    return inv
 
 
 def og6_cokernel(div: int, q: int) -> AbGroupStructure:
@@ -158,8 +169,7 @@ def rank4_a(e: int) -> int:
 
 def rank4_cokernel(e: int) -> AbGroupStructure:
     """Trivial when 3 does not divide e (equivalently a), else (Z/3)^2."""
-    rank4_a(e)
-    return _structure_from_cyclic_orders((3, 3) if e % 3 == 0 else ())
+    return LineBundleInvariants(Family.RANK4, 2, e).cokernel
 
 
 def rank4_is_heisenberg(e: int) -> bool:
@@ -173,17 +183,12 @@ MAX_H0_BITS = 14_000  # about 4,215 digits: under CPython's default 4,300-digit 
 def riemann_roch(inv: LineBundleInvariants) -> int:
     """Section count h^0 for an ample primitive class with the given square.
 
-    KUM: (n+1)*C(e+n, n) with e = q/2.  OG6: 4*C(e+3, 3).  RANK4: 3*C(a+2, 2).
+    h0 = coef*C(top, k), read from the record's sections (see LineBundleInvariants).
     A count over MAX_H0_BITS bits raises ValueError, before math.comb if it can.
     """
     if inv.q <= 0:
         raise ValueError("the section-count formulas require q > 0")
-    if inv.family is Family.KUM:
-        coef, top, k = inv.n + 1, inv.q // 2 + inv.n, inv.n
-    elif inv.family is Family.OG6:
-        coef, top, k = 4, inv.q // 2 + 3, 3
-    else:
-        coef, top, k = 3, rank4_a(inv.q) + 2, 2
+    coef, top, k = inv.sections
     k = min(k, top - k)  # >= 1 here
     # C(top, k) >= (top // k)^k, so the first test refuses only counts that are too big
     if (k * ((top // k).bit_length() - 1) > MAX_H0_BITS
@@ -205,28 +210,21 @@ def theta_report(inv: LineBundleInvariants) -> ThetaReport:
     h0 is present only for q > 0; the multiplicity h0 / (Schrodinger dim) is
     present only when the theta group is Heisenberg and h0 is defined.
     """
-    div0 = m = None
-    if inv.family is Family.KUM:
-        div0, m = kum_div0_m(inv.n, inv.div, inv.q)
-        cokernel = _structure_from_cyclic_orders((div0, div0, m, m))
-        if (criterion := kum_is_heisenberg(inv.n, inv.div, inv.q)) != cokernel.is_trivial():
-            raise AssertionError(
-                f"Heisenberg criterion and cokernel triviality disagree at (n, div, q) = "
-                f"({inv.n}, {inv.div}, {inv.q}): criterion {str(criterion).lower()}, "
-                f"cokernel {list(cokernel.invariant_factors)}")
-        rep_size = (inv.n + 1) ** 2
-    elif inv.family is Family.OG6:
-        cokernel, rep_size = og6_cokernel(inv.div, inv.q), 16
-    else:
-        cokernel, rep_size = rank4_cokernel(inv.q), 9
+    cokernel = inv.cokernel
+    if inv.family is Family.KUM and (
+            (criterion := kum_is_heisenberg(inv.n, inv.div, inv.q)) != cokernel.is_trivial()):
+        raise AssertionError(
+            f"Heisenberg criterion and cokernel triviality disagree at (n, div, q) = "
+            f"({inv.n}, {inv.div}, {inv.q}): criterion {str(criterion).lower()}, "
+            f"cokernel {list(cokernel.invariant_factors)}")
     heisenberg = cokernel.is_trivial()
     h0 = riemann_roch(inv) if inv.q > 0 else None
     multiplicity = None
-    if heisenberg and h0 is not None:  # the Schrodinger dimension: type (n+1)^2, 2^4, 3^2
-        multiplicity, rest = divmod(h0, rep_size)
+    if heisenberg and h0 is not None:
+        multiplicity, rest = divmod(h0, inv.rep_dim)
         if rest:
-            raise AssertionError(f"h0 is not a multiple of the Schrodinger dimension {rep_size}")
-    return ThetaReport._make(inv, div0, m, cokernel, heisenberg, h0, multiplicity)
+            raise AssertionError(f"h0 is not a multiple of the Schrodinger dimension {inv.rep_dim}")
+    return ThetaReport._make(inv, inv.div0, inv.m, cokernel, heisenberg, h0, multiplicity)
 
 
 def report_to_dict(report: ThetaReport) -> dict:

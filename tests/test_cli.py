@@ -162,8 +162,8 @@ def test_kummer_route_disagreement_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_a_class_request_checks_its_key_once(capsys, monkeypatch):
-    # the class key's rules and formula check (2 kum_div0_m calls), then the report
-    # (its (div0, m) and the criterion's rules): no record is built by __init__
+    # the class key's n rule, then its record, built once by __init__ (whose kum_div0_m
+    # gives the (div0, m) the formula is checked against), then the criterion's rules
     calls = {"kum_div0_m": 0, "__init__": 0}
     record = invariants.LineBundleInvariants
     div0_m, init = invariants.kum_div0_m, record.__init__
@@ -175,7 +175,25 @@ def test_a_class_request_checks_its_key_once(capsys, monkeypatch):
     monkeypatch.setattr(record, "__init__", counted("__init__", init))
     code, out, _ = run_cli(capsys, "kummer", "--n", "4", "--a1", "1", "--a2", "5", "--x", "0")
     assert code == 0 and "cokernel: [5, 5]" in out.splitlines()
-    assert calls["kum_div0_m"] <= 4 and calls["__init__"] == 0
+    assert calls["kum_div0_m"] <= 3 and calls["__init__"] == 1
+
+
+@pytest.mark.parametrize("argv, rule, runs", [
+    (["kummer", "--n", "4", "--div", "1", "--q", "6"], "kum_div0_m", 2),
+    (["kummer", "--n", "4", "--a1", "1", "--a2", "5", "--x", "0"], "kum_div0_m", 3),
+    (["og6", "--div", "2", "--q", "-2"], "og6_cokernel", 1),
+    (["rank4", "--e", "42"], "rank4_a", 1),
+], ids=["kummer-div-q", "kummer-class", "og6", "rank4"])
+def test_a_theta_request_runs_its_key_rules_once(capsys, monkeypatch, argv, rule, runs):
+    # the record runs its key's rule home once, and theta_report reads what it kept:
+    # only KUM runs kum_div0_m again, in the criterion, and the class route once before,
+    # for its n rule
+    calls = []
+    original = getattr(invariants, rule)
+    monkeypatch.setattr(invariants, rule, lambda *args: calls.append(args) or original(*args))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == runs
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
@@ -1634,11 +1652,11 @@ def test_source_has_no_assert_statements():
 
 
 def test_the_cli_builds_no_trusted_values():
-    # Record._make, snf._smith, finabgrp._structure_from_cyclic_orders and
-    # GenPermMatrix._composed skip validation, for values the package computed
-    # itself: whatever the CLI reads from argv or a document must pass a
-    # validating constructor, so cli.py names none of them
-    trusted = {"_make", "_smith", "_structure_from_cyclic_orders", "_composed"}
+    # Record._make, snf._smith and finabgrp._structure_from_cyclic_orders skip
+    # validation, for values the package computed itself: whatever the CLI reads
+    # from argv or a document must pass a validating constructor, so cli.py names
+    # none of them
+    trusted = {"_make", "_smith", "_structure_from_cyclic_orders"}
 
     def names(path):
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))

@@ -21,6 +21,7 @@ from hktheta.finabgrp import (
 from hktheta.heisenberg import (
     GenPermMatrix,
     HeisElem,
+    _least_phases,
     character_norm,
     cyclotomic_poly,
     gpm_inv,
@@ -251,11 +252,12 @@ def _gpm_parts(draw):
 
 @given(_gpm_parts(), _typed_pair())
 def test_trusted_schrodinger_builds_equal_validated_builds(parts, pair):
-    # schrodinger_matrix, gpm_mul and gpm_inv build through GenPermMatrix._composed,
-    # which skips the length, bijection and modulus checks but keeps the phase
-    # reduction: each matrix must equal, and hash as, the validating build of its parts
+    # schrodinger_matrix, gpm_mul and gpm_inv build through GenPermMatrix._make with
+    # _least_phases, which skips the length, bijection and modulus checks but keeps the
+    # phase reduction: each matrix must equal, and hash as, the validating build of its parts
     a, b = (GenPermMatrix(*p) for p in parts)
-    trusted = GenPermMatrix._composed(*parts[0])
+    dim, perm, phases, modulus = parts[0]
+    trusted = GenPermMatrix._make(dim, perm, *_least_phases(phases, modulus))
     assert trusted == a and hash(trusted) == hash(a) and repr(trusted) == repr(a)
     _, x, y = pair
     for got in (gpm_mul(a, b), gpm_inv(a), schrodinger_matrix(x), schrodinger_matrix(h_mul(x, y)),

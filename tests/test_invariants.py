@@ -410,8 +410,8 @@ def test_theta_report_heisenberg_kum():
 
 
 def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
-    # the report's div0 and m, and its cokernel, come from one evaluation; the
-    # criterion, checked against the cokernel, checks the key's rules on its own
+    # the report reads div0, m and the cokernel from the record, which evaluated them
+    # once; only the criterion, checked against the cokernel, runs the key's rules
     calls = 0
 
     def counted(*args, original=invariants.kum_div0_m):
@@ -422,7 +422,7 @@ def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
     inv = kum_inv(2, 3, 6)
     monkeypatch.setattr(invariants, "kum_div0_m", counted)
     rep = theta_report(inv)
-    assert calls <= 2
+    assert calls <= 1
     assert (rep.div0, rep.m, rep.cokernel.invariant_factors, rep.is_heisenberg) == (
         3, 1, (3, 3), False)
 
@@ -431,7 +431,7 @@ def test_kum_report_evaluates_div0_and_m_once_each(monkeypatch):
                                  rank4_inv(42)], ids=lambda inv: f"{inv.family.value}-{inv.q}")
 def test_og6_and_rank4_reports_build_no_record(monkeypatch, inv):
     # the verdict is the cokernel's triviality: the report builds no record to
-    # validate its key, and an OG6 report evaluates og6_cokernel once
+    # validate its key, and reads the cokernel the record's og6_cokernel returned
     built, calls = [], []
 
     def counted(*args, original=invariants.og6_cokernel):
@@ -442,8 +442,27 @@ def test_og6_and_rank4_reports_build_no_record(monkeypatch, inv):
     monkeypatch.setattr(invariants, "og6_cokernel", counted)
     rep = theta_report(inv)
     assert built == []
-    assert calls == ([(inv.div, inv.q)] if inv.family is Family.OG6 else [])
+    assert calls == []
     assert rep.is_heisenberg == rep.cokernel.is_trivial()
+
+
+def test_a_class_record_is_its_key_record_with_the_same_cokernel():
+    # kum_class_invariants builds its record through the constructor: it equals the
+    # (div, q) record of its key, keeps b_i = gcd(n+1, a_i) as (div0, m), and holds the
+    # very cokernel object the key's record holds
+    checked = 0
+    for n in range(2, 10):
+        for a1 in range(1, 13):
+            for a2 in range(a1, 6 * a1 + 1, a1):
+                for x in (x for x in range(5) if math.gcd(a1, x) == 1):
+                    inv = kum_class_invariants(n, a1, a2, x)
+                    key = LineBundleInvariants(Family.KUM, inv.div, inv.q, n)
+                    assert inv == key and inv.cokernel is key.cokernel
+                    assert (inv.div0, inv.m) == (key.div0, key.m) == (
+                        math.gcd(n + 1, a1), math.gcd(n + 1, a2))
+                    assert (inv.sections, inv.rep_dim) == (key.sections, key.rep_dim)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_closed_form_cokernels_are_the_cached_structures():

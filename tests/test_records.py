@@ -124,6 +124,29 @@ def test_group_exponent_is_stored_once_and_never_compared():
     assert forged == g and hash(forged) == hash(g) and repr(forged) == repr(g)
 
 
+@pytest.mark.parametrize("inv", [LineBundleInvariants(Family.KUM, 3, 12, 2),
+                                 LineBundleInvariants(Family.OG6, 2, -2),
+                                 LineBundleInvariants(Family.RANK4, 2, 42)],
+                         ids=lambda inv: inv.family.value)
+def test_theta_record_keeps_its_rule_home_answers_uncompared(inv):
+    # what the family's rule home returned rides along in slots that equality, hash,
+    # repr and _asdict skip, and that copies and pickles carry over
+    fields, kept = ("family", "div", "q", "n"), ("div0", "m", "cokernel", "sections", "rep_dim")
+    assert LineBundleInvariants._fields == fields
+    assert LineBundleInvariants.__slots__ == fields + kept
+    assert repr(inv) == (f"LineBundleInvariants(family={inv.family!r}, div={inv.div!r}, "
+                         f"q={inv.q!r}, n={inv.n!r})")
+    assert inv._asdict() == {name: getattr(inv, name) for name in fields}
+    assert hash(inv) == hash(tuple(getattr(inv, name) for name in fields))
+    for twin in (copy.copy(inv), copy.deepcopy(inv), pickle.loads(pickle.dumps(inv))):
+        assert twin == inv and all(getattr(twin, name) == getattr(inv, name) for name in kept)
+    forged = copy.copy(inv)
+    for name in kept:
+        object.__setattr__(forged, name, None)
+    assert forged == inv and hash(forged) == hash(inv) and repr(forged) == repr(inv)
+    assert forged._asdict() == inv._asdict()
+
+
 def test_repr_keeps_the_dataclass_text():
     assert repr(QmodZ(1, 2)) == "QmodZ(num=1, den=2)"
     assert repr(FinAbGroup((2, 3))) == "FinAbGroup(orders=(2, 3))"
