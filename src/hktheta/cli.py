@@ -252,6 +252,16 @@ class _SweepFailure(Exception):
     """Failed sweeps; its args are the battery's record and lines, emitted with exit 1."""
 
 
+class _DigitLimit(Exception):
+    """An integer option past MAX_ENTRY_DIGITS; argparse lets it through to main."""
+
+
+def _int_option(text: str) -> int:
+    if _too_long(text) and text.strip().lstrip("+-").replace("_", "").isdecimal():
+        raise _DigitLimit(f"bad integer {_quoted(text)}: {_DIGITS_ERROR}")
+    return int(text)  # argparse reads a ValueError as "invalid int value"
+
+
 _JSON = ("--json", {"action": "store_true", "help": "machine-readable output"})
 _ELEM = {"required": True, "help": "element 't;(x1,..);(f1,..)'"}
 _TYPE_D = ("--d", {"required": True, "help": "type, e.g. '3,3'"})
@@ -294,7 +304,8 @@ def _exact_table(handler, arguments):
     for name, spec in arguments:
         dest, flag = name.lstrip("-"), spec.get("action") == "store_true"
         fields[name if name.startswith("-") else None] = (
-            dest, None if flag else spec.get("type", str), spec.get("choices"))
+            dest, None if flag else _int_option if spec.get("type") is int else str,
+            spec.get("choices"))
         if spec.get("required") or not name.startswith("-"):
             required.add(dest)
         defaults[dest] = False if flag else None
@@ -317,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.register("type", int, _int_option)  # type=int options convert by _int_option
         for arg, spec in arguments:
             p.add_argument(arg, **spec)
         p.set_defaults(handler=handler)
@@ -373,16 +385,16 @@ def _emit(args, record, lines):
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if [] in vars(args).values():  # argparse drops the "--" of --name=-- and stores []
-        dest = next(dest for dest, value in vars(args).items() if value == [])
-        _parser().error(f"argument --{dest}: expected one argument")
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if [] in vars(args).values():  # argparse drops the "--" of --name=-- and stores []
+            dest = next(dest for dest, value in vars(args).items() if value == [])
+            _parser().error(f"argument --{dest}: expected one argument")
         record, lines = args.handler(args)
     except _SweepFailure as exc:
         _emit(args, *exc.args)
         return 1
-    except ValueError as exc:
+    except (ValueError, _DigitLimit) as exc:
         print(f"error: {_cut(str(exc))}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -10,12 +10,13 @@ integer arithmetic: the pairing v^T.gram.w, the divisibility gcd, orbit
 classification by (square, divisibility, mod-8 residue), and the
 wall-divisor splitting of square -2(n+1), divisibility 2(n+1) classes into
 a pair of isotropic vectors of an ambient U^4 (n+1 = p*q from two gcds).
-gram.v runs over the nonzero Gram entries only (one per row here).  og6_class and
-is_primitive return nothing built from the vector's entries, so the coordinate gcd
-they need is their integrality check (int_tuple names a non-integer only when it
-fails); kum_orbit_split validates its vector once by int_tuple.  Both og6_class and
-kum_orbit_split read div and q from one gram.v and run their internal checks on the
-tuples they built themselves, through gram.v, without validating them again.
+Two kernels.  gram.v runs over the nonzero Gram entries (one per row here): bbf_pair,
+divisibility, and the div and q that og6_class and kum_orbit_split read off one gram.v.
+A square runs over the entries with i <= j, off-diagonal ones doubled: bbf_square and
+kum_orbit_split's internal checks (beta^2, isotropy of e and f) on tuples it built, not
+validated again; its input is validated once.  The built-in lattices skip GramLattice's
+checks, which a caller's Gram matrix passes; og6_class and is_primitive take the gcd
+they need as their integrality check (int_tuple names a non-integer only when it fails).
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ _U = ((0, 1), (1, 0))
 class GramLattice(Record):
     """Free Z-module with a fixed basis and a nondegenerate symmetric Gram matrix."""
 
-    # _entries: the nonzero entries (i, j, gram[i][j]), filled in once validated
-    __slots__ = ("name", "gram", "basis", "_entries")
+    # _entries: the nonzero entries (i, j, gram[i][j]); _upper: those with i <= j, each
+    # off-diagonal one doubled, so that a square is sum(x*v[i]*v[j]) over them
+    __slots__ = ("name", "gram", "basis", "_entries", "_upper")
     _fields = ("name", "gram", "basis")
 
     def __init__(self, name: str, gram: tuple[tuple[int, ...], ...], basis: tuple[str, ...]):
@@ -65,24 +67,25 @@ class GramLattice(Record):
             raise ValueError("basis labels must match the rank")
         if integer_det(gram) == 0:
             raise ValueError("gram matrix must be nondegenerate")
-        self._set(name, gram, basis, tuple(
-            (i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x))
+        self._set(name, gram, basis, *_kernels(gram))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
 
-def _block_diag(blocks):
-    rank = sum(len(b) for b in blocks)
-    gram = [[0] * rank for _ in range(rank)]
-    at = 0
+def _kernels(gram) -> tuple[tuple, tuple]:
+    entries = tuple((i, j, x) for i, row in enumerate(gram) for j, x in enumerate(row) if x)
+    return entries, tuple((i, j, x if i == j else 2 * x) for i, j, x in entries if i <= j)
+
+
+def _block_lattice(name: str, blocks, basis: tuple[str, ...]) -> GramLattice:
+    """Blocks U and <-2k>, k >= 1, on the diagonal: symmetric and nondegenerate, unchecked."""
+    rank, gram = len(basis), ()
     for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                gram[at + i][at + j] = x
-        at += len(b)
-    return tuple(tuple(row) for row in gram)
+        at = len(gram)
+        gram += tuple((0,) * at + row + (0,) * (rank - at - len(row)) for row in b)
+    return GramLattice._make(name, gram, basis, *_kernels(gram))
 
 
 def hyperbolic_sum(copies: int) -> GramLattice:
@@ -91,7 +94,7 @@ def hyperbolic_sum(copies: int) -> GramLattice:
     if copies < 1:
         raise ValueError("need at least one hyperbolic plane")
     basis = tuple(x for i in range(1, copies + 1) for x in (f"e{i}", f"f{i}"))
-    return GramLattice(f"U^{copies}", _block_diag([_U] * copies), basis)
+    return _block_lattice(f"U^{copies}", [_U] * copies, basis)
 
 
 def lambda_kum(n: int) -> GramLattice:
@@ -99,9 +102,8 @@ def lambda_kum(n: int) -> GramLattice:
     [n] = int_tuple((n,))
     if n < 2:
         raise ValueError("Kummer-type parameter n must be >= 2")
-    gram = _block_diag([_U, _U, _U, ((-2 * (n + 1),),)])
     basis = ("e1", "f1", "e2", "f2", "e3", "f3", "delta")
-    return GramLattice(f"kum:{n}", gram, basis)
+    return _block_lattice(f"kum:{n}", [_U, _U, _U, ((-2 * (n + 1),),)], basis)
 
 
 @lru_cache(maxsize=64)
@@ -112,14 +114,13 @@ def _kum_lattice(n: int) -> GramLattice:
 
 def lambda_og6() -> GramLattice:
     """U^3 + <-2> + <-2>; basis (e1,f1,e2,f2,e3,f3,g1,g2)."""
-    gram = _block_diag([_U, _U, _U, ((-2,),), ((-2,),)])
     basis = ("e1", "f1", "e2", "f2", "e3", "f3", "g1", "g2")
-    return GramLattice("og6", gram, basis)
+    return _block_lattice("og6", [_U, _U, _U, ((-2,),), ((-2,),)], basis)
 
 
 def _as_vector(lat: GramLattice, v) -> tuple[int, ...]:
     vec = int_tuple(v)
-    if len(vec) != lat.rank:
+    if len(vec) != len(lat.gram):
         raise ValueError(f"vector length {len(vec)} does not match rank {lat.rank}")
     return vec
 
@@ -132,7 +133,7 @@ def _gram_times(lat: GramLattice, v: tuple[int, ...]) -> list[int]:
 
 
 def _square(lat: GramLattice, v: tuple[int, ...]) -> int:
-    return sum(map(operator.mul, v, _gram_times(lat, v)))
+    return sum([x * v[i] * v[j] for i, j, x in lat._upper])
 
 
 def _content(lat: GramLattice, v) -> tuple[tuple, int]:
@@ -144,7 +145,7 @@ def _content(lat: GramLattice, v) -> tuple[tuple, int]:
     except TypeError:
         int_tuple(v)
         raise
-    if len(v) != lat.rank:
+    if len(v) != len(lat.gram):
         raise ValueError(f"vector length {len(v)} does not match rank {lat.rank}")
     if not g:
         raise ValueError("primitivity is undefined for the zero vector")
@@ -153,8 +154,7 @@ def _content(lat: GramLattice, v) -> tuple[tuple, int]:
 
 def bbf_pair(lat: GramLattice, v, w) -> int:
     """Symmetric bilinear pairing v^T.gram.w of two lattice vectors."""
-    v = _as_vector(lat, v)
-    return sum(map(operator.mul, v, _gram_times(lat, _as_vector(lat, w))))
+    return sum(map(operator.mul, _as_vector(lat, v), _gram_times(lat, _as_vector(lat, w))))
 
 
 def bbf_square(lat: GramLattice, v) -> int:
@@ -178,6 +178,7 @@ class OG6Class(Enum):
     III = "III"
 
 
+_I, _II, _III = OG6Class
 _OG6 = lambda_og6()
 _U3 = hyperbolic_sum(3)
 _U4 = hyperbolic_sum(4)
@@ -196,13 +197,13 @@ def og6_class(v) -> OG6Class:
     gv = _gram_times(_OG6, v)
     div = math.gcd(*gv)
     if div == 1:
-        return OG6Class.I
+        return _I
     if div == 2:
         residue = sum(map(operator.mul, v, gv)) % 8
         if residue == 6:
-            return OG6Class.II
+            return _II
         if residue == 4:
-            return OG6Class.III
+            return _III
         raise AssertionError(f"divisibility 2 with square residue {residue} mod 8")
     raise AssertionError(f"primitive vector with divisibility {div}")
 
@@ -247,8 +248,9 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     """
     lat = _kum_lattice(n)
     v = _as_vector(lat, alpha)
-    if _content(lat, v)[1] != 1:
-        raise ValueError("orbit splitting requires a primitive vector")
+    if (g := math.gcd(*v)) != 1:
+        raise ValueError("orbit splitting requires a primitive vector" if g
+                         else "primitivity is undefined for the zero vector")
     two_n1 = 2 * (n + 1)
     gv = _gram_times(lat, v)
     sq = sum(map(operator.mul, v, gv))
@@ -258,24 +260,21 @@ def kum_orbit_split(n: int, alpha) -> OrbitInvariant:
     if div != two_n1:
         raise ValueError(f"divisibility must be {two_n1}, got {div}")
     x0 = v[6]
-    if any(c % two_n1 for c in v[:6]):
+    if any([c % two_n1 for c in v[:6]]):
         raise AssertionError("U^3 part must be divisible by 2(n+1) at this divisibility")
-    beta = tuple(c // two_n1 for c in v[:6])
+    beta = tuple([c // two_n1 for c in v[:6]])
     if two_n1 * _square(_U3, beta) != x0 * x0 - 1:
         raise AssertionError("square bookkeeping 2(n+1)*beta^2 = x0^2 - 1 failed")
     candidates = kum_split_candidates(n, x0)
     if len(candidates) != 1:
         raise AssertionError(
-            f"expected exactly one splitting of {n + 1}, found {sorted(candidates)}"
-        )
+            f"expected exactly one splitting of {n + 1}, found {sorted(candidates)}")
     p, q = candidates[0]
-    a = (x0 - 1) // (2 * p)
-    c = (x0 + 1) // (2 * q)
-    e = tuple(q * b for b in beta) + (a, a * (n + 1) - q * x0)
-    f = tuple(p * b for b in beta) + (c, c * (n + 1) - p * x0)
+    a, c = (x0 - 1) // (2 * p), (x0 + 1) // (2 * q)
+    e = tuple([q * b for b in beta]) + (a, a * (n + 1) - q * x0)
+    f = tuple([p * b for b in beta]) + (c, c * (n + 1) - p * x0)
     if _square(_U4, e) or _square(_U4, f):
         raise AssertionError("splitting witnesses must be isotropic")
-    alpha_ambient = v[:6] + (x0, -(n + 1) * x0)
-    if tuple(p * ei + q * fi for ei, fi in zip(e, f)) != alpha_ambient:
+    if tuple([p * ei + q * fi for ei, fi in zip(e, f)]) != v[:6] + (x0, -(n + 1) * x0):
         raise AssertionError("p*e + q*f must reconstruct the input class")
-    return OrbitInvariant(x0=x0, p=p, q=q, beta=beta, e=e, f=f)
+    return OrbitInvariant._make(x0, p, q, beta, e, f)

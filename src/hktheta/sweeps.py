@@ -260,7 +260,7 @@ def sweep_orbit_split():
                 yield (n + 1) % 4 == 0 and not kum_split_candidates(n, x0)
 
 
-_OG6_DIV2_CLASS = {6: OG6Class.II, 4: OG6Class.III}  # by the square mod 8
+_OG6_I, _OG6_DIV2_CLASS = OG6Class.I, {6: OG6Class.II, 4: OG6Class.III}  # by q mod 8
 
 
 @_sweep("og6 trichotomy")
@@ -288,7 +288,7 @@ def sweep_og6_trichotomy():
         e1, f1, e2, f2, e3, f3, g1, g2 = v
         div = math.gcd(e1, f1, e2, f2, e3, f3, 2 * g1, 2 * g2)
         q = 2 * (e1 * f1 + e2 * f2 + e3 * f3 - g1 * g1 - g2 * g2)
-        expected = OG6Class.I if div == 1 else _OG6_DIV2_CLASS.get(q % 8) if div == 2 else None
+        expected = _OG6_I if div == 1 else _OG6_DIV2_CLASS.get(q % 8) if div == 2 else None
         yield og6_class(v) is expected
 
 

@@ -24,6 +24,7 @@ import hktheta
 import hktheta.cli as cli
 import hktheta.finabgrp as finabgrp
 import hktheta.invariants as invariants
+import hktheta.lattices as lattices
 from hktheta.cli import main
 from hktheta.finabgrp import (
     MAX_ENTRY_DIGITS,
@@ -102,14 +103,14 @@ def test_kummer_huge_prime_m_finishes():
     "argv",
     [
         ["kummer", "--n", "200000", "--div", "1", "--q", "400000"],
-        ["og6", "--div", "1", "--q", "2" + "0" * 3000],
         ["kummer", "--n", "1000000000000000008", "--div", "1", "--q", "2000000000000000018"],
     ],
-    ids=["kummer-n200000", "og6-q2e3000", "kummer-n1e18"],
+    ids=["kummer-n200000", "kummer-n1e18"],
 )
 def test_section_count_limit_refuses_early(argv):
-    # h0 has over 10^4 digits in the first two and about 6*10^17 in the last: the
-    # first two ended in Python's int-to-str error (2.2 s for kummer), the last never ended
+    # h0 has over 10^4 digits in the first and about 6*10^17 in the last: the first
+    # ended in Python's int-to-str error (2.2 s), the last never ended; og6's h0 stays
+    # under the limit up to MAX_ENTRY_DIGITS digits of --q
     proc = subprocess.run(
         [sys.executable, "-m", "hktheta", *argv],
         capture_output=True,
@@ -711,6 +712,59 @@ def test_integers_at_the_digit_limit_answer(capsys):
     assert run_cli(capsys, "lattice", "class", "--lattice=og6",
                    "--vector=" + "1_" * 600 + "1,0,0,0,0,0,0,0") == (
         1, "", "error: orbit class is defined for primitive vectors only\n")
+
+
+_OVER = "9" * 5000  # past MAX_ENTRY_DIGITS and past CPython's 4,300-digit limit on int()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kummer", f"--n={_OVER}", "--div=1", "--q=6"],
+    ["kummer", "--n", _OVER, "--div", "1", "--q", "6"],
+    ["kummer", "--n", "9" * 4000, "--div", "7", "--q", "2"],
+    ["kummer", "--n=2", "--div=1", f"--q=-{_OVER}"],
+    ["kummer", "--n", "2", "--div", "1", "--q", "-" + _OVER],
+    ["kummer", "--n=2", "--a1=1", "--a2=1", f"--x={_SEPARATED}_9"],
+    ["og6", f"--div={_OVER}", "--q=2"],
+    ["og6", "--div", _OVER, "--q", "2"],
+    ["og6", "--div", "1", "--q", "2" + "0" * 3000],
+    ["rank4", f"--e={_OVER}"],
+    ["rank4", "--e", _OVER, "--json"],
+], ids=["kummer-n-eq", "kummer-n", "kummer-n4000", "kummer-q-eq", "kummer-q", "kummer-x-sep",
+        "og6-div-eq", "og6-div", "og6-q2e3000", "rank4-e-eq", "rank4-e"])
+def test_report_options_past_the_digit_limit_are_refused_by_name(capsys, argv):
+    # --n, --div, --q, --a1, --a2, --x and --e were read by int(): past 4,300 digits
+    # argparse exited 2 with "invalid int value", which names no limit; the exact
+    # parse and argparse refuse such an integer alike, before int() reads it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert err.startswith("error: bad integer '") and err.endswith("'...: " + _DIGITS_LINE)
+
+
+def test_report_options_at_the_digit_limit_are_read(capsys):
+    # 1,000 digits, also with underscores between them, are read as before, and
+    # meet MAX_H0_BITS or their rule home
+    big, even = "9" * MAX_ENTRY_DIGITS, "2" + "0" * (MAX_ENTRY_DIGITS - 1)
+    code, out, err = run_cli(capsys, "kummer", "--n", big, "--div", "1", "--q", "6")
+    assert (code, err) == (0, "") and f"n: {big}" in out.splitlines()
+    code, out, err = run_cli(capsys, "og6", "--div", "1", f"--q={even}")
+    assert (code, err) == (0, "") and f"q: {even}" in out.splitlines()
+    assert run_cli(capsys, "kummer", "--n", "5", "--div", "1", "--q", even) == (
+        1, "", f"error: h0 exceeds the section-count limit MAX_H0_BITS = {MAX_H0_BITS} bits\n")
+    assert run_cli(capsys, "og6", "--div", big, "--q", "2") == (
+        1, "", "error: OG6 divisibility must be 1 or 2\n")
+    code, out, err = run_cli(capsys, "rank4", f"--e=-{_SEPARATED}")
+    assert (code, out) == (1, "") and err.startswith("error: need e > 0 with e = -6 mod 16, got -9")
+    assert run_cli(capsys, "kummer", "--n=2", f"--a1={big}", "--a2=1", "--x=0") == (
+        1, "", "error: need 1 <= a1 | a2\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "9" * 4999 + "x", "x" * 5000])
+def test_a_report_option_that_is_no_integer_stays_a_usage_error(capsys, value):
+    # however long, a non-integer gets argparse's exit 2 and "invalid int value"
+    code, out, err = run_cli(capsys, "kummer", "--n", value, "--div", "1", "--q", "6")
+    assert (code, out) == (2, "") and err.count("\n") == 3, err[:300]
+    assert err.splitlines()[-1].startswith(
+        "hktheta kummer: error: argument --n: invalid int value: " + repr(value)[:50])
 
 
 def test_schrodinger_matrix(capsys):
@@ -1352,9 +1406,11 @@ def test_the_parser_and_the_exact_parse_read_one_table():
         assert [_action_row(a) for a in actions] == expected, name
         assert sub.get_default("handler") is handler
         fields, required, defaults = cli._EXACT[name]
+        # an option's conversion is the one argparse calls: its type, through the registry
         assert fields == {
-            (a.option_strings or [None])[0]: (a.dest, None if a.nargs == 0 else a.type or str,
-                                              a.choices) for a in actions}, name
+            (a.option_strings or [None])[0]: (
+                a.dest, None if a.nargs == 0 else sub._registry_get("type", a.type, a.type)
+                if a.type else str, a.choices) for a in actions}, name
         assert required == {a.dest for a in actions if a.required}, name
         assert defaults == {"handler": handler, **{a.dest: a.default for a in actions}}, name
 
@@ -1421,7 +1477,7 @@ def test_a_short_usage_message_is_argparse_own(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["kummer", "--n", "9" * 4000, "--div", "7", "--q", "2"],
+    ["kummer", "--n", "9" * MAX_ENTRY_DIGITS, "--div", "7", "--q", "2"],
     ["lattice", "orbit", "--lattice=kum:" + "9" * 1000, "--vector=1,0,0,0,0,0,1"],
 ], ids=["kummer", "lattice-orbit"])
 def test_domain_errors_that_echo_a_long_integer_stay_short(capsys, argv):
@@ -1591,6 +1647,31 @@ def test_kummer_criterion_disagreeing_with_the_cokernel_is_an_internal_error(
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
 
 
+def test_orbit_split_internal_check_is_an_internal_error_under_optimize(capsys, monkeypatch):
+    # a planted second splitting fires kum_orbit_split's own check, by its text:
+    # exit 3 with one line, in-process and under python -O, never the exit 1 of bad input
+    argv = ["lattice", "orbit", "--lattice=kum:2", "--vector=12,6,0,0,0,0,5"]
+    monkeypatch.setattr(lattices, "kum_split_candidates", lambda n, x0: [(3, 1), (1, 3)])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "internal check failed: expected exactly one "
+                                "splitting of 3, found [(1, 3), (3, 1)]\n")
+
+    planted = (
+        "import sys\n"
+        "import hktheta.lattices as lattices\n"
+        "import hktheta.cli as cli\n"
+        "lattices.kum_split_candidates = lambda n, x0: [(3, 1), (1, 3)]\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", planted, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+
+
 _NONDEGENERATE_DOC = {"orders": [3, 3], "matrix": [["0/1", "1/3"], ["2/3", "0/1"]]}
 
 
@@ -1652,11 +1733,12 @@ def test_source_has_no_assert_statements():
 
 
 def test_the_cli_builds_no_trusted_values():
-    # Record._make, snf._smith and finabgrp._structure_from_cyclic_orders skip
-    # validation, for values the package computed itself: whatever the CLI reads
-    # from argv or a document must pass a validating constructor, so cli.py names
-    # none of them
-    trusted = {"_make", "_smith", "_structure_from_cyclic_orders"}
+    # Record._make, snf._smith, finabgrp._structure_from_cyclic_orders and
+    # lattices._block_lattice skip validation, for values the package computed
+    # itself: whatever the CLI reads from argv or a document must pass a validating
+    # constructor, so cli.py names none of them, and reaches the lattices only
+    # through the built-in _kum_lattice and _OG6
+    trusted = {"_make", "_smith", "_structure_from_cyclic_orders", "_block_lattice"}
 
     def names(path):
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
@@ -1666,7 +1748,9 @@ def test_the_cli_builds_no_trusted_values():
 
     src = Path(hktheta.__file__).resolve().parent
     assert not trusted & names(src / "cli.py")
-    assert trusted <= names(src / "heisenberg.py") | names(src / "finabgrp.py")  # the scan sees them
+    assert {"_kum_lattice", "_OG6"} <= names(src / "cli.py")
+    seen = set().union(*(names(src / f) for f in ("heisenberg.py", "finabgrp.py", "lattices.py")))
+    assert trusted <= seen  # the scan sees them
 
 
 def test_kummer_key_rules_are_raised_in_kum_div0_m_only():

@@ -49,14 +49,48 @@ def test_lattice_shapes():
 
 
 def test_lattice_validation():
-    with pytest.raises(ValueError):
-        GramLattice("bad", ((0, 1), (2, 0)), ("a", "b"))  # not symmetric
-    with pytest.raises(ValueError):
-        GramLattice("bad", ((1, 1), (1, 1)), ("a", "b"))  # degenerate
-    with pytest.raises(ValueError):
-        GramLattice("bad", ((2,),), ("a", "b"))  # basis length mismatch
+    with pytest.raises(ValueError, match="^gram matrix must be symmetric$"):
+        GramLattice("bad", ((0, 1), (2, 0)), ("a", "b"))
+    with pytest.raises(ValueError, match="^gram matrix must be nondegenerate$"):
+        GramLattice("bad", ((1, 1), (1, 1)), ("a", "b"))
+    with pytest.raises(ValueError, match="^basis labels must match the rank$"):
+        GramLattice("bad", ((2,),), ("a", "b"))
     with pytest.raises(ValueError, match="^gram matrix must be square and nonempty$"):
         GramLattice("x", (), ())
+    with pytest.raises(ValueError, match="^gram matrix must be square and nonempty$"):
+        GramLattice("ragged", ((0, 1), (1,)), ("a", "b"))
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: lambda_kum(n) for n in range(2, 61)),
+    lambda_og6,
+    *(lambda c=c: hyperbolic_sum(c) for c in range(1, 6)),
+], ids=[*(f"kum:{n}" for n in range(2, 61)), "og6", *(f"U^{c}" for c in range(1, 6))])
+def test_built_in_lattices_equal_the_validated_ones_in_every_slot(build):
+    # the block builder skips GramLattice's checks; what it builds is the lattice
+    # that GramLattice builds from the same Gram matrix, private slots included
+    lat = build()
+    twin = GramLattice(lat.name, lat.gram, lat.basis)
+    assert GramLattice.__slots__ == ("name", "gram", "basis", "_entries", "_upper")
+    for name in GramLattice.__slots__:
+        assert getattr(lat, name) == getattr(twin, name), name
+        assert type(getattr(lat, name)) is type(getattr(twin, name)), name
+    assert all(type(x) is int for row in lat.gram for x in row)
+
+
+def test_built_in_lattices_take_no_determinant(monkeypatch):
+    # U and <-2k>, k >= 1, are symmetric and nondegenerate blocks: lambda_kum,
+    # lambda_og6 and hyperbolic_sum call no integer_det, a caller's Gram matrix one
+    calls = []
+    monkeypatch.setattr(lattices, "integer_det", lambda g: calls.append(g) or integer_det(g))
+    for n in range(2, 51):
+        lambda_kum(n)
+    lambda_og6(), hyperbolic_sum(4)
+    _kum_lattice.cache_clear()
+    kum_orbit_split(17, (0,) * 6 + (1,))
+    assert calls == []
+    GramLattice("kum:17", lambda_kum(17).gram, lambda_kum(17).basis)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -199,6 +233,31 @@ def dense_lattices_with_vectors(draw):
     return lat, draw(vectors), draw(vectors)
 
 
+@st.composite
+def sparse_lattices_with_vectors(draw):
+    """A nondegenerate symmetric Gram matrix of rank 1-8 whose entries are zero
+    or not, diagonal ones of either sign, and a vector of that rank."""
+    r = draw(st.integers(1, 8))
+    entry = st.integers(-6, 6) | st.just(0)
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        gram[i][i] = draw(entry)
+        for j in range(i + 1, r):
+            gram[i][j] = gram[j][i] = draw(entry)
+    assume(integer_det([row[:] for row in gram]) != 0)
+    lat = GramLattice("sparse", tuple(map(tuple, gram)), tuple(f"b{i}" for i in range(r)))
+    return lat, draw(st.tuples(*([st.integers(-99, 99)] * r)))
+
+
+@given(sparse_lattices_with_vectors())
+def test_square_over_the_upper_triangle_matches_dense_reference(case):
+    # a square runs over the entries with i <= j, each off-diagonal one doubled
+    lat, v = case
+    g, r = lat.gram, lat.rank
+    assert bbf_square(lat, v) == sum(v[i] * g[i][j] * v[j] for i in range(r) for j in range(r))
+    assert bbf_square(lat, v) == bbf_pair(lat, v, v)
+
+
 @given(dense_lattices_with_vectors())
 def test_general_gram_matches_dense_reference(case):
     # the built-in lattices have one nonzero per Gram row; here every row is full
@@ -300,8 +359,12 @@ def test_orbit_split_input_validation():
         kum_orbit_split(2, (1, -3, 0, 0, 0, 0, 0))  # square -6 but divisibility 1
     with pytest.raises(ValueError, match="primitive"):
         kum_orbit_split(2, tuple(2 * c for c in DELTA))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vector length 3 does not match rank 7$"):
         kum_orbit_split(2, (0, 0, 1))
+    with pytest.raises(ValueError, match="^primitivity is undefined for the zero vector$"):
+        kum_orbit_split(2, (0,) * 7)
+    with pytest.raises(ValueError, match="^expected an integer, got 'x'$"):
+        kum_orbit_split(2, (0,) * 6 + ("x",))
 
 
 def _assert_split_consistent(n, v, split):
@@ -365,6 +428,23 @@ def test_orbit_split_validates_its_input_once(monkeypatch):
         calls.clear()
         kum_orbit_split(n, alpha)
         assert calls == [alpha]
+
+
+@pytest.mark.parametrize("plant, message", [
+    ("candidates", "expected exactly one splitting of 3, found [(1, 3), (3, 1)]"),
+    ("square", "splitting witnesses must be isotropic"),
+])
+def test_orbit_split_internal_checks_fire_by_name(monkeypatch, plant, message):
+    # a planted second splitting, or a U^4 square of 1, fails its own check with its
+    # own text, raised as AssertionError (python -O keeps it)
+    if plant == "candidates":
+        monkeypatch.setattr(lattices, "kum_split_candidates", lambda n, x0: [(3, 1), (1, 3)])
+    else:
+        square = lattices._square
+        monkeypatch.setattr(
+            lattices, "_square", lambda lat, v: 1 if lat is lattices._U4 else square(lat, v))
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        kum_orbit_split(2, (12, 6, 0, 0, 0, 0, 5))
 
 
 def test_kum_lattice_memo_is_invisible():
