@@ -7,7 +7,9 @@ e : G x G -> Q/Z, stored by its values on pairs of generators as integers
 in units of 1/exponent; e(a, b) is summed over the nonzero ones only, as
 model pairings are mostly zero.  QmodZ values are built only at the edges:
 `Pairing.matrix`, eval_pairing's value and Pairing(group, matrix) itself;
-documents, models and tensors hand integer units to one validation loop.
+documents and models hand integer units to one validation loop, which a tensor
+(pointwise sum on one group) skips: a sum of valid pairings is valid.  One pass
+of `_pairing_units` evaluates the signed entries of several pairings at many pairs.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel is computed through exact Smith normal form over Z, taken modulo
@@ -244,9 +246,10 @@ class Pairing(Record):
     (_units, which equality and hash read) and as its nonzero entries
     (i, j, u) (_entries), over which eval_pairing sums.  Skewness forces a
     zero diagonal, and biadditivity forces the reduced denominator of
-    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Every constructor
-    hands units to the same integer checks (_of); an entry that is no multiple
-    of 1/exponent comes as its reduced pair and fails where a QmodZ would.
+    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Every constructor but
+    tensor_pairing (a sum of two checked pairings) hands units to the same integer
+    checks (_of); an entry that is no multiple of 1/exponent comes as its reduced
+    pair and fails where a QmodZ would.
     """
 
     __slots__ = ("group", "_units", "_entries")
@@ -290,25 +293,22 @@ class Pairing(Record):
         return tuple(tuple(QmodZ(u, n) for u in row) for row in self._units)
 
 
-def _pairing_units(pairing: Pairing, a_coords, b_coords) -> int:
-    # sum_{i,j} a_i b_j e(gen_i, gen_j) as an integer in units of 1/exponent,
-    # over the nonzero entries only
-    total = 0
-    for i, j, u in pairing._entries:
-        total += a_coords[i] * b_coords[j] * u
-    return total
+def _pairing_units(entries, pairs):
+    """Per coordinate pair (a, b), the exact int sum of a_i b_j u over the entries (i, j, u):
+    e(a, b) in units of 1/exponent on one pairing's, e_t - e_1 - e_2 on those of t, -p1, -p2."""
+    for a, b in pairs:
+        total = 0
+        for i, j, u in entries:
+            total += a[i] * b[j] * u
+        yield total
 
 
 def eval_pairing(pairing: Pairing, a: GroupElement, b: GroupElement) -> QmodZ:
-    """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z.
-
-    Every entry's denominator divides n = exponent (Pairing enforces it), so
-    the sum is accumulated as an integer in units of 1/n, over the nonzero
-    entries of the matrix only.
-    """
+    """e(a, b) = sum_{i,j} a_i b_j e(gen_i, gen_j) in Q/Z, summed by _pairing_units in units
+    of 1/n, n = exponent, which every entry's denominator divides (Pairing enforces it)."""
     if a.group != pairing.group or b.group != pairing.group:
         raise ValueError("elements do not belong to the pairing's group")
-    return QmodZ(_pairing_units(pairing, a.coords, b.coords), pairing.group.exponent)
+    return QmodZ(*_pairing_units(pairing._entries, [(a.coords, b.coords)]), pairing.group.exponent)
 
 
 def e_matrix(pairing: Pairing) -> tuple[tuple[int, ...], ...]:
@@ -485,12 +485,15 @@ def standard_og6_pairing(case: OG6PairingCase) -> Pairing:
 
 
 def tensor_pairing(p1: Pairing, p2: Pairing) -> Pairing:
-    """Pointwise sum of two pairings on the same group (tensor of theta data)."""
+    """Pointwise sum of two pairings on one group (tensor of theta data), built once by
+    _make without _fill's checks, which it would pass: as both summands are, the sum is
+    skew, zero on the diagonal and a multiple of 1/gcd(o_i, o_j) at (i, j)."""
     if p1.group != p2.group:
         raise ValueError("pairings live on different groups")
     n = p1.group.exponent
-    return Pairing._of(p1.group, [
-        [(a + b) % n for a, b in zip(r1, r2)] for r1, r2 in zip(p1._units, p2._units)])
+    units = tuple([tuple([(a + b) % n for a, b in zip(*r)]) for r in zip(p1._units, p2._units)])
+    return Pairing._make(p1.group, units, tuple(
+        [(i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u]))
 
 
 def pairing_to_dict(pairing: Pairing) -> dict:

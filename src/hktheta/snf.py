@@ -62,12 +62,15 @@ def integer_det(mat) -> int:
 
 
 def smith_normal_form(mat, modulus: int) -> list[int]:
-    """Invariant factors d_1 | ... | d_r of Z^r / (columns of mat + modulus * Z^r).
+    """Invariant factors d_1 | ... | d_r of Z^r / (columns of mat + modulus * Z^r), modulus >= 1.
 
     These are the diagonal of the Smith form of [mat | modulus * I], r being
     the number of rows; every d_i divides modulus.  Row steps clear a pivot's
     column, then column steps its row; arith.divisor_chain chains the diagonal.
     """
+    [modulus] = int_tuple((modulus,))  # a non-integer is named in a one-line ValueError
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
     return _smith(_as_int_rows(mat, modulus), modulus)
 
 

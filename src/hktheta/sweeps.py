@@ -15,7 +15,7 @@ import math
 import random
 import time
 from functools import lru_cache, wraps
-from itertools import product
+from itertools import chain, product
 
 from .arith import Record, divisors
 from .finabgrp import (
@@ -205,24 +205,21 @@ def sweep_rank4_consistency():
 def sweep_tensor_additivity():
     """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
     n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
-    pairings, the 16 pairs of generators and 40 seeded random pairs, whose
-    320 coordinates are drawn uniformly on [0, n] from random bytes.  Values
-    are compared as integers in units of 1/(n+1), the exponent of the group."""
+    pairings, the 16 pairs of generators and 40 seeded random pairs (320 coordinates
+    uniform on [0, n], from random bytes), one _pairing_units call over the entries of
+    t = tensor_pairing(p1, p2), -p1 and -p2 yields (n+1)(e_t - e_1 - e_2), a multiple of n+1."""
     rng = random.Random(11)
     gens = [tuple(int(i == j) for j in range(4)) for i in range(4)]
     gen_pairs = list(product(gens, repeat=2))
     for n in (2, 3, 5):
         divs = divisors(n + 1)
         models = [standard_kum_pairing(n, b1, b2) for b1, b2 in product(divs, repeat=2)]
-        for p1, p2 in product(models, repeat=2):
-            t = tensor_pairing(p1, p2)
+        negated = [tuple((i, j, -u) for i, j, u in p._entries) for p in models]
+        for (p1, m1), (p2, m2) in product(zip(models, negated), repeat=2):
+            signed = tensor_pairing(p1, p2)._entries + m1 + m2
             quads = zip(*[iter(_draw(rng, 0, n, 320))] * 4)
-            pairs = gen_pairs + list(zip(quads, quads))
-            yield all(
-                (_pairing_units(t, a, b) - _pairing_units(p1, a, b)
-                 - _pairing_units(p2, a, b)) % (n + 1) == 0
-                for a, b in pairs
-            )
+            yield not any(s % (n + 1) for s in
+                          _pairing_units(signed, chain(gen_pairs, zip(quads, quads))))
 
 
 @_sweep("orbit splitting")

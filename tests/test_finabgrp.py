@@ -554,7 +554,13 @@ def skew_pairings(draw, max_order=4096, max_rank=4):
         st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]), min_size=rank, max_size=rank)
     )
     assume(math.prod(orders) <= max_order)
-    g = FinAbGroup(tuple(orders))
+    return draw(pairings_on(FinAbGroup(tuple(orders))))
+
+
+@st.composite
+def pairings_on(draw, g):
+    # a skew pairing on the group g, each upper entry drawn from its admissible values
+    orders, rank = g.orders, g.rank
     mat = [[QmodZ(0)] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
@@ -857,11 +863,14 @@ def test_eval_pairing_matches_fraction_sum_random(data):
 
 
 def _assert_sparse_matches_dense(p, pairs):
-    # _pairing_units sums only the nonzero entries; it must equal the dense
-    # sum exactly, not just mod 1, since each entry is num/den in [0, 1)
+    # one batch call of _pairing_units sums only the nonzero entries, pair by pair;
+    # each sum must equal the dense sum exactly, not just mod 1, since each entry
+    # is num/den in [0, 1)
     n = p.group.exponent
-    for a, b in pairs:
-        assert Fraction(finabgrp._pairing_units(p, a.coords, b.coords), n) == _dense_sum(p, a, b)
+    sums = list(finabgrp._pairing_units(p._entries, [(a.coords, b.coords) for a, b in pairs]))
+    assert len(sums) == len(pairs)
+    for (a, b), units in zip(pairs, sums):
+        assert Fraction(units, n) == _dense_sum(p, a, b)
         assert eval_pairing(p, a, b) == _eval_by_fractions(p, a, b)
 
 
@@ -918,6 +927,37 @@ def test_tensor_order_two_self_cancels():
 def test_tensor_group_mismatch():
     with pytest.raises(ValueError):
         tensor_pairing(symplectic_pairing(2, 1), symplectic_pairing(3, 1))
+
+
+def _assert_trusted_tensor_is_the_validated_sum(p1, p2):
+    # tensor_pairing builds its sum unchecked; the validated build of the same
+    # units must agree with it field by field, in equality and in hash
+    n = p1.group.exponent
+    checked = Pairing._of(p1.group, [[(a + b) % n for a, b in zip(r1, r2)]
+                                     for r1, r2 in zip(p1._units, p2._units)])
+    t = tensor_pairing(p1, p2)
+    assert t.group == checked.group
+    assert t._units == checked._units
+    assert t._entries == checked._entries
+    assert t == checked and hash(t) == hash(checked)
+    assert pairing_from_dict(pairing_to_dict(t)) == t
+
+
+def test_trusted_tensor_matches_the_validated_build_on_every_model_pair():
+    for n in range(2, 13):
+        models = [standard_kum_pairing(n, b1, b2)
+                  for b1, b2 in product(divisors(n + 1), repeat=2)]
+        for p1, p2 in product(models, repeat=2):
+            _assert_trusted_tensor_is_the_validated_sum(p1, p2)
+    with pytest.raises(ValueError, match="different groups"):
+        tensor_pairing(standard_kum_pairing(2, 1, 1), standard_kum_pairing(3, 1, 1))
+
+
+@given(st.data())
+def test_trusted_tensor_matches_the_validated_build_random(data):
+    p1 = data.draw(skew_pairings(max_rank=5))
+    p2 = data.draw(pairings_on(p1.group))
+    _assert_trusted_tensor_is_the_validated_sum(p1, p2)
 
 
 def test_tensor_cokernel_golden():

@@ -137,3 +137,24 @@ def test_the_public_smith_form_still_validates(mat, message):
     with pytest.raises(ValueError) as info:
         smith_normal_form(mat, 6)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("modulus, message", [
+    (0, "modulus must be >= 1, got 0"),
+    (-4, "modulus must be >= 1, got -4"),
+    (2.0, "expected an integer, got 2.0"),
+])
+def test_the_public_smith_form_refuses_a_modulus_below_one_or_not_an_integer(modulus, message):
+    # 0 once raised ZeroDivisionError, 2.0 TypeError, and -4 answered [1, 1] for a
+    # matrix whose form mod 4 is [1, 1, 4]
+    mat = [[-29, 0, 14], [8, -48, -37], [-9, -24, -2]]
+    assert smith_normal_form(mat, 4) == [1, 1, 4]
+    with pytest.raises(ValueError) as info:
+        smith_normal_form(mat, modulus)
+    assert str(info.value) == message
+
+
+def test_the_public_smith_form_takes_modulus_one():
+    # everything is zero mod 1: every factor is 1, whatever the matrix
+    assert smith_normal_form([[-29, 0, 14], [8, -48, -37], [-9, -24, -2]], 1) == [1, 1, 1]
+    assert smith_normal_form([[0, 0]], 1) == [1]

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from hktheta import lattices, sweeps
-from hktheta.finabgrp import AbGroupStructure
+from hktheta.finabgrp import AbGroupStructure, Pairing, tensor_pairing
 from hktheta.invariants import kum_cokernel
 from hktheta.lattices import OG6Class, og6_class
 from hktheta.sweeps import (
@@ -51,6 +51,44 @@ def test_tensor_additivity_catches_a_wrong_tensor(monkeypatch):
     result = sweep_tensor_additivity()
     assert result.failed > 0
     assert result.passed + result.failed == 353
+
+
+@pytest.mark.parametrize("upper", [True, False], ids=["upper-entry-off-by-one", "lower-only"])
+def test_tensor_additivity_catches_a_tensor_wrong_at_one_entry(monkeypatch, upper):
+    # the one-pass check must read every entry of the tensor: a skew sum off by
+    # one unit at the upper entry (0, 1), or a sum wrong at (3, 2) alone, below
+    # the diagonal, which is not skew
+    def wrong(p1, p2):
+        t = tensor_pairing(p1, p2)
+        units, n = [list(row) for row in t._units], t.group.exponent
+        if upper:
+            units[0][1], units[1][0] = (units[0][1] + 1) % n, (units[1][0] - 1) % n
+            return Pairing._of(t.group, units)
+        units[3][2] = (units[3][2] + 1) % n
+        return Pairing._make(t.group, tuple(map(tuple, units)), tuple(
+            (i, j, u) for i, row in enumerate(units) for j, u in enumerate(row) if u))
+
+    monkeypatch.setattr("hktheta.sweeps.tensor_pairing", wrong)
+    result = sweep_tensor_additivity()
+    assert result.failed > 0
+    assert result.passed + result.failed == 353
+
+
+def test_tensor_additivity_makes_one_kernel_call_per_check(monkeypatch):
+    # each check sums the tensor's and both factors' signed entries in one pass:
+    # one _pairing_units call per check over its 16 + 40 pairs, 353 calls per sweep
+    calls = []
+    kernel = sweeps._pairing_units
+
+    def counted(entries, pairs):
+        pairs = list(pairs)
+        calls.append(len(pairs))
+        return kernel(entries, pairs)
+
+    monkeypatch.setattr(sweeps, "_pairing_units", counted)
+    result = sweep_tensor_additivity()
+    assert (result.passed, result.failed) == (353, 0)
+    assert calls == [56] * 353
 
 
 def test_kum_three_way_counts_every_disagreement_of_the_div_q_route(monkeypatch):
