@@ -8,8 +8,8 @@ in units of 1/exponent; e(a, b) is summed over the nonzero ones only, as
 model pairings are mostly zero.  QmodZ values are built only at the edges:
 `Pairing.matrix`, eval_pairing's value and Pairing(group, matrix) itself;
 documents and models hand integer units to one validation loop, which a tensor
-(pointwise sum on one group) skips: a sum of valid pairings is valid.  One pass
-of `_pairing_units` evaluates the signed entries of several pairings at many pairs.
+(pointwise sum on one group) skips: a sum of valid pairings is valid.  The tensor
+sweep merges t, -p1, -p2 by position before `_pairing_units` sums them at 56 pairs.
 
 The induced homomorphism E : G -> Ghat sends a to the character e(a, -).
 Its cokernel is computed through exact Smith normal form over Z, taken modulo
@@ -242,14 +242,12 @@ def _square(rows, r: int):
 class Pairing(Record):
     """Skew biadditive form on a finite abelian group, by values on generators.
 
-    e(gen_i, gen_j) is stored only in integer units of 1/exponent: whole
-    (_units, which equality and hash read) and as its nonzero entries
-    (i, j, u) (_entries), over which eval_pairing sums.  Skewness forces a
-    zero diagonal, and biadditivity forces the reduced denominator of
-    e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Every constructor but
-    tensor_pairing (a sum of two checked pairings) hands units to the same integer
-    checks (_of); an entry that is no multiple of 1/exponent comes as its reduced
-    pair and fails where a QmodZ would.
+    e(gen_i, gen_j) is stored only in integer units of 1/exponent: whole (_units, which
+    equality and hash read) and as its nonzero entries (i, j, u) (_entries), over which
+    eval_pairing sums.  Skewness forces a zero diagonal, and biadditivity forces the reduced
+    denominator of e(gen_i, gen_j) to divide gcd(orders[i], orders[j]).  Each constructor
+    but tensor_pairing hands units to one integer check (_of); an entry that is no
+    multiple of 1/exponent comes as its reduced pair and fails where a QmodZ would.
     """
 
     __slots__ = ("group", "_units", "_entries")
@@ -295,7 +293,7 @@ class Pairing(Record):
 
 def _pairing_units(entries, pairs):
     """Per coordinate pair (a, b), the exact int sum of a_i b_j u over the entries (i, j, u):
-    e(a, b) in units of 1/exponent on one pairing's, e_t - e_1 - e_2 on those of t, -p1, -p2."""
+    e(a, b) in units of 1/exponent on one pairing's, e_t - e_1 - e_2 on t, -p1, -p2 merged."""
     for a, b in pairs:
         total = 0
         for i, j, u in entries:

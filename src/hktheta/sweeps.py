@@ -201,22 +201,28 @@ def sweep_rank4_consistency():
         )
 
 
+def _merged(*forms):
+    """The forms' entries (i, j, u) summed by position: one per (i, j), zeros dropped."""
+    sums = {}
+    for i, j, u in chain(*forms):
+        sums[i, j] = sums.get((i, j), 0) + u
+    return [(i, j, u) for (i, j), u in sums.items() if u]
+
+
 @_sweep("tensor additivity")
 def sweep_tensor_additivity():
-    """Pointwise additivity of tensor_pairing on the model Kummer pairings, for
-    n in {2, 3, 5} and every b1, b2, c1, c2 dividing n+1: on each pair of model
-    pairings, the 16 pairs of generators and 40 seeded random pairs (320 coordinates
-    uniform on [0, n], from random bytes), one _pairing_units call over the entries of
-    t = tensor_pairing(p1, p2), -p1 and -p2 yields (n+1)(e_t - e_1 - e_2), a multiple of n+1."""
+    """Pointwise additivity of tensor_pairing on the model Kummer pairings, for n in {2, 3, 5}
+    and every b1, b2, c1, c2 dividing n+1: on each pair of model pairings, at the 16 pairs of
+    generators and 40 seeded random pairs (320 coordinates uniform on [0, n], from random
+    bytes), one _pairing_units call over the entries of t = tensor_pairing(p1, p2), -p1 and
+    -p2, summed by position (_merged), yields (n+1)(e_t - e_1 - e_2), a multiple of n+1."""
     rng = random.Random(11)
-    gens = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    gen_pairs = list(product(gens, repeat=2))
+    gen_pairs = list(product([tuple(int(i == j) for j in range(4)) for i in range(4)], repeat=2))
     for n in (2, 3, 5):
-        divs = divisors(n + 1)
-        models = [standard_kum_pairing(n, b1, b2) for b1, b2 in product(divs, repeat=2)]
+        models = [standard_kum_pairing(n, *b) for b in product(divisors(n + 1), repeat=2)]
         negated = [tuple((i, j, -u) for i, j, u in p._entries) for p in models]
         for (p1, m1), (p2, m2) in product(zip(models, negated), repeat=2):
-            signed = tensor_pairing(p1, p2)._entries + m1 + m2
+            signed = _merged(tensor_pairing(p1, p2)._entries, m1, m2)
             quads = zip(*[iter(_draw(rng, 0, n, 320))] * 4)
             yield not any(s % (n + 1) for s in
                           _pairing_units(signed, chain(gen_pairs, zip(quads, quads))))
@@ -224,16 +230,12 @@ def sweep_tensor_additivity():
 
 @_sweep("orbit splitting")
 def sweep_orbit_split():
-    """Wall-divisor splitting over every admissible x0.
-
-    For each 2 <= n <= 50 and |x0| <= 200 with 2(n+1) | x0^2 - 1, let
-    k = (x0^2-1)/(2(n+1)).  When k is even a witness class alpha exists
-    (beta = (k/2)e1 + f1) and the splitting must succeed, be unique, and
-    reconstruct alpha from isotropic vectors — kum_orbit_split asserts all
-    of that internally.  When k is odd no class realizes this x0 at all
-    (beta^2 = k is impossible in an even lattice, which forces 4 | n+1),
-    and correspondingly no integral splitting exists; the sweep checks that
-    emptiness instead.
+    """Wall-divisor splitting over every admissible x0: for 2 <= n <= 50 and |x0| <= 200
+    with 2(n+1) | x0^2 - 1, let k = (x0^2-1)/(2(n+1)).  When k is even a witness class
+    alpha exists (beta = (k/2)e1 + f1), and the splitting must succeed, be unique and
+    reconstruct alpha from isotropic vectors (kum_orbit_split asserts that internally).
+    When k is odd no class realizes x0 (beta^2 = k is impossible in an even lattice, which
+    forces 4 | n+1), nor does any integral splitting exist: the sweep checks that instead.
     """
     for n in range(2, 51):
         two_n1 = 2 * (n + 1)

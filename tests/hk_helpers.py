@@ -10,6 +10,7 @@ from hktheta.finabgrp import (
     GroupElement,
     Pairing,
     QmodZ,
+    _pairing_units,
 )
 
 
@@ -139,3 +140,20 @@ def character_eval(f: GroupElement, x: GroupElement) -> QmodZ:
         Fraction(0),
     )
     return to_qmodz(total)
+
+
+def tensor_additivity_by_parts(t: Pairing, p1: Pairing, p2: Pairing, pairs) -> list[int]:
+    """Reference for the integers of one sweeps.sweep_tensor_additivity check.
+
+    At each coordinate pair, the sum of three separate _pairing_units
+    evaluations, over the entries of t, of -p1 and of -p2, unmerged: the
+    check's integer (n+1)(e_t - e_1 - e_2) as it was formed before the sweep
+    summed the three forms by position.
+    """
+    pairs = list(pairs)
+    parts = [list(_pairing_units(entries, pairs)) for entries in (
+        t._entries,
+        tuple((i, j, -u) for i, j, u in p1._entries),
+        tuple((i, j, -u) for i, j, u in p2._entries),
+    )]
+    return [a + b + c for a, b, c in zip(*parts)]

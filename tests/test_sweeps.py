@@ -2,7 +2,9 @@
 
 import inspect
 import random
+import zlib
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -21,6 +23,7 @@ from hktheta.sweeps import (
     sweep_rank4_consistency,
     sweep_tensor_additivity,
 )
+from hk_helpers import tensor_additivity_by_parts
 
 
 @pytest.mark.parametrize(
@@ -89,6 +92,77 @@ def test_tensor_additivity_makes_one_kernel_call_per_check(monkeypatch):
     result = sweep_tensor_additivity()
     assert (result.passed, result.failed) == (353, 0)
     assert calls == [56] * 353
+
+
+def _record_tensor_checks(monkeypatch):
+    # per check, (t, p1, p2) from tensor_pairing and (entries, pairs, sums) from the
+    # one kernel call, each read through the sweep's own names
+    tensors, calls = [], []
+    tensor, kernel = sweeps.tensor_pairing, sweeps._pairing_units
+
+    def recorded_tensor(p1, p2):
+        t = tensor(p1, p2)
+        tensors.append((t, p1, p2))
+        return t
+
+    def recorded_kernel(entries, pairs):
+        pairs = list(pairs)
+        sums = list(kernel(entries, pairs))
+        calls.append((entries, pairs, sums))
+        return iter(sums)
+
+    monkeypatch.setattr(sweeps, "tensor_pairing", recorded_tensor)
+    monkeypatch.setattr(sweeps, "_pairing_units", recorded_kernel)
+    result = sweep_tensor_additivity()
+    assert (result.passed, result.failed) == (353, 0)
+    assert len(tensors) == len(calls) == 353
+    return tensors, calls
+
+
+def test_merged_form_gives_the_integers_of_three_separate_evaluations(monkeypatch):
+    # at each of the 56 pairs of all 353 checks, the one call over the merged form gives
+    # the integer that three calls, over t, -p1 and -p2, sum to (hk_helpers' reference)
+    tensors, calls = _record_tensor_checks(monkeypatch)
+    for (t, p1, p2), (_, pairs, sums) in zip(tensors, calls):
+        assert len(pairs) == 56
+        assert sums == tensor_additivity_by_parts(t, p1, p2, pairs)
+
+
+def test_each_kernel_call_gets_one_entry_per_position_and_no_zero(monkeypatch):
+    # the gain pinned without timing: at most one entry per (i, j), none zero, so at most
+    # 4 on the model pairings, and 418 entries over the sweep (3,228 before the merge)
+    _, calls = _record_tensor_checks(monkeypatch)
+    forms = [entries for entries, _, _ in calls]
+    assert all(len({(i, j) for i, j, _ in f}) == len(f) <= 4 for f in forms)
+    assert all(u for f in forms for _, _, u in f)
+    assert sum(map(len, forms)) == 418
+
+
+def test_tensor_additivity_draws_the_pinned_sample(monkeypatch):
+    # crc32 of the bytes _draw returns over the sweep, taken before the entries were
+    # merged: the 353 checks see the same 353 x 320 coordinates
+    draws = []
+    draw = sweeps._draw
+
+    def recorded(rng, lo, hi, k):
+        values = draw(rng, lo, hi, k)
+        draws.append(values.tobytes())
+        return values
+
+    monkeypatch.setattr(sweeps, "_draw", recorded)
+    assert sweep_tensor_additivity().failed == 0
+    assert len(draws) == 353
+    assert zlib.crc32(b"".join(draws)) == 0x1FC5763A
+
+
+def test_tensor_additivity_catches_a_merge_that_keeps_the_last_entry(monkeypatch):
+    # a merge that overwrites, keeping at each position only the last form's entry
+    # (-p2's where it has one), must fail the integer comparison
+    monkeypatch.setattr(sweeps, "_merged", lambda *forms: list(
+        {(i, j): (i, j, u) for i, j, u in chain(*forms)}.values()))
+    result = sweep_tensor_additivity()
+    assert result.failed > 0
+    assert result.passed + result.failed == 353
 
 
 def test_kum_three_way_counts_every_disagreement_of_the_div_q_route(monkeypatch):
